@@ -30,6 +30,10 @@ from .runs import (
 
 SCHEMA_VERSION = "1"
 DEFAULT_LIST_LIMIT = 20
+# Largest sizes the CLI accepts; larger ones exit 2.  The README gives the
+# measured worst-case time at each bound.
+PARTITION_MAX_N = 10**5
+SELFTEST_MAX_N = 1000
 
 
 @dataclass
@@ -106,6 +110,8 @@ def cmd_runs(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_partition(args: argparse.Namespace) -> CommandOutcome:
+    if args.n > PARTITION_MAX_N:
+        raise ValueError(f"partition accepts n <= {PARTITION_MAX_N}, got n={args.n}")
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
     partition, traces = solve(inst, want_trace=args.trace)
     report = oracle.verify(inst.n, inst.run, partition)
@@ -224,8 +230,8 @@ def _selftest_checks(max_n: int):
 
 
 def cmd_selftest(args: argparse.Namespace) -> CommandOutcome:
-    if args.max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {args.max_n}")
+    if not 1 <= args.max_n <= SELFTEST_MAX_N:
+        raise ValueError(f"max_n must be in 1..{SELFTEST_MAX_N}, got {args.max_n}")
     checks = []
     lines = [f"selftest max_n={args.max_n}"]
     ok = True
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", parents=[common],
                        help="build one partition of {1..n} realizing targets a..b")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"prefix length, at most {PARTITION_MAX_N}")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--trace", action="store_true",
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", parents=[common],
                        help="run the property sweeps up to max_n")
-    p.add_argument("max_n", type=int)
+    p.add_argument("max_n", type=int, help=f"largest n swept, at most {SELFTEST_MAX_N}")
     p.set_defaults(handler=cmd_selftest)
 
     return parser

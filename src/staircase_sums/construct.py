@@ -17,13 +17,27 @@ reductions:
 Every intermediate state keeps the pending amounts in a consecutive run whose
 sum is the triangular number of the remaining prefix, which is what makes the
 recursion close.
+
+Most layers are *plain*: m = c - a <= 0, so there is no difference-pair
+window and the i-th target just gets the pair (n-s-i, n-s+1+i).  A plain
+layer with a > c leaves every target open, keeps the target order and the
+run length, and maps the instance (n, [a..b]) to (n-2s, [a-c..b-c]).  Under
+the sum invariant, a > c holds exactly when n >= 3s, so such layers come in
+*stretches*: k = (n-s) // 2s consecutive layers, over which target i receives
+the two arithmetic progressions n-s-i, n-3s-i, ... and n-s+1+i, n-s+1+i-2s,
+... of k terms each.  :func:`solve` works on plain ints and takes one step
+per peel, per stretch, and per remaining layer (a windowed layer, or the
+plain layer with a = c that closes the first target); those single steps
+share their code with the public :func:`peel` and :func:`layer`.  Per-layer
+:class:`LayerTrace` objects are built only when a trace is asked for, by
+expanding each stretch into its layers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .runs import ConsecutiveRun, Instance, triangular
+from .runs import ConsecutiveRun, Instance
 
 MIRROR_LOW = "mirror-low"
 MIRROR_HIGH = "mirror-high"
@@ -105,6 +119,93 @@ class Partition:
     blocks: dict[int, tuple[int, ...]]
 
 
+# A reduced state (n, a, b) with n = 0 has the empty run a = b + 1: nothing
+# is left to assign.
+_State = tuple[int, int, int]
+
+
+def _peel_step(n: int, a: int, b: int) -> tuple[range, _State]:
+    """Int-level peel: the singleton targets [a..n] and the reduced state."""
+    if a > n:
+        raise ValueError(f"peel requires run.a <= n (n={n}, run=[{a}..{b}])")
+    return range(a, n + 1), (a - 1, n + 1, b)
+
+
+def _layer_step(
+    n: int, a: int, b: int
+) -> tuple[int, int, int | None, list[tuple[int, int]], _State]:
+    """Int-level layer: ``(c, m, low, pairs, reduced)``.
+
+    ``pairs[i]`` is the pair given to amount a + i.  Amounts up to c + m are
+    met exactly; the others stay open and need the rest from ``reduced``.
+    """
+    if a <= n:
+        raise ValueError(f"layer requires run.a > n (n={n}, run=[{a}..{b}])")
+    s = b - a + 1
+    assert n >= 2 * s, f"length bound violated for valid instance (n={n}, s={s})"
+    c = 2 * n - 2 * s + 1
+    m = max(0, c - a)
+    assert b - c >= m, "mirror partner targets missing above c"
+
+    pairs: list[tuple[int, int] | None] = [None] * s
+    used_q: set[int] = set()
+    window_low: int | None = None
+    if m >= 1:
+        # 2m+1 consecutive values are guaranteed to fit inside Q; take the
+        # topmost such window so the output is uniquely determined.  Here
+        # a = c - m, so amount c - d sits at index m - d.
+        assert s >= 2 * m + 1, f"window exceeds Q (s={s}, m={m})"
+        window_low = n - 2 * m
+        dp = difference_pairs(m, window_low)
+        for d, (x, xp) in enumerate(dp.pairs, start=1):
+            pairs[m - d] = (c - xp, x)
+            pairs[m + d] = (c - x, xp)
+            used_q.add(x)
+            used_q.add(xp)
+
+    leftover = [i for i in range(s) if pairs[i] is None]
+    leftover_q = [q for q in range(n - s + 1, n + 1) if q not in used_q]
+    assert len(leftover) == len(leftover_q)
+    for i, q in zip(leftover, leftover_q):
+        pairs[i] = (c - q, q)
+
+    if n == 2 * s:
+        assert b - c <= m, "residual targets but no elements left"
+    return c, m, window_low, pairs, (n - 2 * s, max(m + 1, a - c), b - c)
+
+
+def _kind(t: int, c: int, m: int) -> str:
+    if t < c:
+        return MIRROR_LOW
+    if t == c:
+        return EXACT
+    return MIRROR_HIGH if t - c <= m else OPEN
+
+
+def _layer_trace(
+    n: int, a: int, b: int, c: int, m: int, low: int | None, pairs: list[tuple[int, int]]
+) -> LayerTrace:
+    s = b - a + 1
+    return LayerTrace(
+        n=n,
+        run=ConsecutiveRun(a, b),
+        s=s,
+        c=c,
+        p_range=(n - 2 * s + 1, n - s),
+        q_range=(n - s + 1, n),
+        m=m,
+        low=low,
+        assignments=tuple(
+            Assignment(t, pair, _kind(t, c, m)) for t, pair in zip(range(a, b + 1), pairs)
+        ),
+    )
+
+
+def _reduced_instance(state: _State) -> Instance | None:
+    n, a, b = state
+    return Instance(n, ConsecutiveRun(a, b)) if n else None
+
+
 def peel(inst: Instance) -> tuple[list[tuple[int, tuple[int, ...]]], Instance | None]:
     """Assign the singleton {t} to every target t in [a..n] and reduce.
 
@@ -113,13 +214,8 @@ def peel(inst: Instance) -> tuple[list[tuple[int, tuple[int, ...]]], Instance | 
     peel never applies twice in a row.  The reduced instance is absent exactly
     when a = 1 (the identity run, everything already assigned).
     """
-    n, a, b = inst.n, inst.run.a, inst.run.b
-    if a > n:
-        raise ValueError(f"peel requires run.a <= n (n={n}, run={inst.run})")
-    singles = [(t, (t,)) for t in range(a, n + 1)]
-    if a == 1:
-        return singles, None
-    return singles, Instance(a - 1, ConsecutiveRun(n + 1, b))
+    singles, reduced = _peel_step(inst.n, inst.run.a, inst.run.b)
+    return [(t, (t,)) for t in singles], _reduced_instance(reduced)
 
 
 def layer(
@@ -138,70 +234,27 @@ def layer(
     leftover instance over {1..n-2s} (absent when n = 2s).
     """
     n, a, b = inst.n, inst.run.a, inst.run.b
-    if a <= n:
-        raise ValueError(f"layer requires run.a > n (n={n}, run={inst.run})")
-    s = b - a + 1
-    assert n >= 2 * s, f"length bound violated for valid instance (n={n}, s={s})"
-    c = 2 * n - 2 * s + 1
-    m = max(0, c - a)
-    assert b - c >= m, "mirror partner targets missing above c"
+    c, m, low, pairs, reduced = _layer_step(n, a, b)
+    assigned = list(zip(range(a, b + 1), pairs))
+    closed = [(t, pair) for t, pair in assigned if t - c <= m]
+    open_pairs = [(t, pair) for t, pair in assigned if t - c > m]
+    return _layer_trace(n, a, b, c, m, low, pairs), closed, open_pairs, _reduced_instance(reduced)
 
-    assignments: list[Assignment] = []
-    closed: list[tuple[int, tuple[int, int]]] = []
-    open_pairs: list[tuple[int, tuple[int, int]]] = []
-    used_q: set[int] = set()
-    window_low: int | None = None
 
-    if m >= 1:
-        # 2m+1 consecutive values are guaranteed to fit inside Q; take the
-        # topmost such window so the output is uniquely determined.
-        assert s >= 2 * m + 1, f"window exceeds Q (s={s}, m={m})"
-        window_low = n - 2 * m
-        dp = difference_pairs(m, window_low)
-        for d, (x, xp) in enumerate(dp.pairs, start=1):
-            low_block = (c - xp, x)
-            high_block = (c - x, xp)
-            closed.append((c - d, low_block))
-            closed.append((c + d, high_block))
-            assignments.append(Assignment(c - d, low_block, MIRROR_LOW))
-            assignments.append(Assignment(c + d, high_block, MIRROR_HIGH))
-            used_q.add(x)
-            used_q.add(xp)
-
-    leftover_targets = [t for t in range(a, b + 1) if t == c or t - c > m]
-    leftover_q = [q for q in range(n - s + 1, n + 1) if q not in used_q]
-    assert len(leftover_targets) == len(leftover_q)
-    for t, q in zip(leftover_targets, leftover_q):
-        pair = (c - q, q)
-        if t == c:
-            closed.append((t, pair))
-            assignments.append(Assignment(t, pair, EXACT))
-        else:
-            open_pairs.append((t, pair))
-            assignments.append(Assignment(t, pair, OPEN))
-
-    reduced = None
-    if n - 2 * s > 0:
-        reduced = Instance(
-            n - 2 * s, ConsecutiveRun(max(m + 1, a - c), b - c)
-        )
-    else:
-        assert not open_pairs, "residual targets but no elements left"
-
-    closed.sort()
-    assignments.sort(key=lambda asg: asg.target)
-    trace = LayerTrace(
-        n=n,
-        run=inst.run,
-        s=s,
-        c=c,
-        p_range=(n - 2 * s + 1, n - s),
-        q_range=(n - s + 1, n),
-        m=m,
-        low=window_low,
-        assignments=tuple(assignments),
+def _check_pending(n: int, a: int, b: int, pending: int) -> None:
+    # the pending amounts are the run [a..b], one per pending target, and
+    # their sum is 1 + ... + n
+    assert a >= 1 and b - a + 1 == pending and (a + b) * pending == n * (n + 1), (
+        f"pending amounts out of sync with instance (n={n}, run=[{a}..{b}])"
     )
-    return trace, closed, open_pairs, reduced
+
+
+def _stretch_start(a: int, c: int, s: int, j: int) -> int:
+    """Run start after j layers of a stretch that starts at run start a and pair sum c.
+
+    Layer i of the stretch subtracts its pair sum c - 4si from every amount.
+    """
+    return a - j * c + 2 * s * j * (j - 1)
 
 
 def solve(
@@ -213,41 +266,62 @@ def solve(
     With ``want_trace`` the per-layer intermediate states are returned as well
     (peels contribute no trace).
     """
-    blocks: dict[int, list[int]] = {t: [] for t in inst.run.values()}
-    # pending amount still needed -> original target; amounts always form a
-    # consecutive run, so they are distinct and safe to key on
-    owner: dict[int, int] = {t: t for t in inst.run.values()}
+    n, a, b = inst.n, inst.run.a, inst.run.b
+    blocks: dict[int, list[int]] = {t: [] for t in range(a, b + 1)}
+    # targets[i] is the original target that still needs amount a + i
+    targets = list(blocks)
     traces: list[LayerTrace] = []
-    cur: Instance | None = inst
 
-    while cur is not None:
-        n, run = cur.n, cur.run
-        assert sorted(owner) == list(run.values()) and sum(owner) == triangular(n), (
-            f"pending amounts out of sync with instance (n={n}, run={run})"
-        )
-        if run.a <= n:
-            singles, reduced = peel(cur)
-            for amount, block in singles:
-                blocks[owner.pop(amount)].extend(block)
-        else:
-            trace, closed, open_pairs, reduced = layer(cur)
+    while targets:
+        s = len(targets)
+        _check_pending(n, a, b, s)
+        if a <= n:
+            singles, (n, a, b) = _peel_step(n, a, b)
+            for target, t in zip(targets, singles):
+                blocks[target].append(t)
+        elif n >= 3 * s:
+            # A stretch of k plain layers that leave every target open: with
+            # the sum invariant, a > c = 2n-2s+1 iff (n-s)(n-3s+1) > 0, which
+            # for n >= 2s means n >= 3s, and each layer lowers n by 2s.
+            k = (n - s) // (2 * s)
+            step = 2 * s
+            span = step * k
+            placed = []  # (block, index of the stretch's first element in it)
+            for i, target in enumerate(targets):
+                block = blocks[target]
+                placed.append((block, len(block)))
+                block.extend(range(n - s - i, n - s - i - span, -step))
+                block.extend(range(n - s + 1 + i, n - s + 1 + i - span, -step))
+            c = 2 * n - 2 * s + 1
             if want_trace:
-                traces.append(trace)
-            for amount, block in closed:
-                blocks[owner.pop(amount)].extend(block)
-            next_owner: dict[int, int] = {}
-            for amount, pair in open_pairs:
-                target = owner.pop(amount)
+                # layer j gave target i the pair (n-s-i-2sj, n-s+1+i-2sj); take
+                # it from the block so that trace and block share the ints
+                for j in range(k):
+                    nj, aj, cj = n - step * j, _stretch_start(a, c, s, j), c - 2 * step * j
+                    pairs = [(block[x + j], block[x + k + j]) for block, x in placed]
+                    traces.append(_layer_trace(nj, aj, aj + s - 1, cj, 0, None, pairs))
+            # The pending sum minus 1 + ... + n is a quadratic in the layer
+            # index j, zero at j = 0 (checked above); checking it at j = k-1
+            # here and at j = k on the next round makes it zero at every
+            # layer of the stretch.
+            last = _stretch_start(a, c, s, k - 1)
+            _check_pending(n - step * (k - 1), last, last + s - 1, s)
+            n, a = n - span, _stretch_start(a, c, s, k)
+            b = a + s - 1
+        else:
+            c, m, low, pairs, reduced = _layer_step(n, a, b)
+            if want_trace:
+                traces.append(_layer_trace(n, a, b, c, m, low, pairs))
+            for target, pair in zip(targets, pairs):
                 blocks[target].extend(pair)
-                next_owner[amount - trace.c] = target
-            assert not owner, "layer left targets unconsumed"
-            owner = next_owner
-        cur = reduced
+            n, a, b = reduced
+        # the open targets are the last ones, in order
+        targets = targets[s - (b - a + 1):]
 
-    assert not owner, "ran out of elements with targets still pending"
+    assert n == 0, "elements left over with no targets pending"
     partition = Partition(
         n=inst.n,
         run=inst.run,
-        blocks={t: tuple(sorted(blocks[t])) for t in inst.run.values()},
+        blocks={t: tuple(sorted(block)) for t, block in blocks.items()},
     )
     return partition, (traces if want_trace else None)

@@ -8,6 +8,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from staircase_sums.cli import PARTITION_MAX_N, SELFTEST_MAX_N
+
 GOLDEN_COMMANDS = {
     "runs_15.json": ["runs", 15],
     "runs_1.json": ["runs", 1],
@@ -123,12 +125,15 @@ def test_render_max_width_env(run_cli):
         ["render", 5, 7],
         ["render", 0],
         ["selftest", 0],
+        ["partition", PARTITION_MAX_N + 1, 1, 1],
+        ["selftest", SELFTEST_MAX_N + 1],
     ],
 )
 def test_user_errors_exit_2(run_cli, args):
     result = run_cli(*args)
     assert result.returncode == 2
-    assert result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_usage_error_exits_2(run_cli):

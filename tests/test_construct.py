@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from staircase_sums.construct import (
     MIRROR_HIGH,
     MIRROR_LOW,
     OPEN,
+    LayerTrace,
+    Partition,
     difference_pairs,
     layer,
     peel,
@@ -37,6 +41,62 @@ def _instances(max_n: int, pred=None):
             inst = Instance(n, run)
             if pred is None or pred(inst):
                 yield inst
+
+
+def reference_solve(inst: Instance) -> tuple[Partition, list[LayerTrace]]:
+    """The solver as one public peel or layer per step, with the full invariant each step.
+
+    ``solve`` takes a whole stretch of plain layers in one step; this is the
+    per-layer loop it must agree with, block for block and trace for trace.
+    """
+    blocks: dict[int, list[int]] = {t: [] for t in inst.run.values()}
+    # pending amount still needed -> original target
+    owner: dict[int, int] = {t: t for t in inst.run.values()}
+    traces: list[LayerTrace] = []
+    cur: Instance | None = inst
+    while cur is not None:
+        assert sorted(owner) == list(cur.run.values())
+        assert sum(owner) == triangular(cur.n)
+        if cur.run.a <= cur.n:
+            singles, reduced = peel(cur)
+            for amount, block in singles:
+                blocks[owner.pop(amount)].extend(block)
+        else:
+            trace, closed, open_pairs, reduced = layer(cur)
+            traces.append(trace)
+            for amount, block in closed:
+                blocks[owner.pop(amount)].extend(block)
+            next_owner: dict[int, int] = {}
+            for amount, pair in open_pairs:
+                target = owner.pop(amount)
+                blocks[target].extend(pair)
+                next_owner[amount - trace.c] = target
+            assert not owner
+            owner = next_owner
+        cur = reduced
+    assert not owner
+    partition = Partition(
+        n=inst.n,
+        run=inst.run,
+        blocks={t: tuple(sorted(blocks[t])) for t in inst.run.values()},
+    )
+    return partition, traces
+
+
+def seeded_instances(seed: int, max_n: int, drawn: int) -> list[Instance]:
+    """Worst runs [T(n)..T(n)] at log-spaced n up to max_n, plus runs drawn for log-uniform n."""
+    rng = random.Random(seed)
+    sizes = []
+    n = 10
+    while n < max_n:
+        sizes.append(n)
+        n = round(n * 10**0.5)
+    sizes.append(max_n)
+    found = [Instance(n, ConsecutiveRun(triangular(n), triangular(n))) for n in sizes]
+    for _ in range(drawn):
+        n = round(10 ** rng.uniform(1, math.log10(max_n)))
+        found.append(Instance(n, rng.choice(enumerate_runs(triangular(n)))))
+    return found
 
 
 @st.composite
@@ -277,3 +337,26 @@ def test_solve_sweep_small():
     for inst in _instances(60):
         partition, _ = solve(inst)
         assert verify(inst.n, inst.run, partition).ok
+
+
+# ---------------------------------------------------------------- reference
+
+
+def test_solve_matches_reference_sweep_to_300():
+    for inst in _instances(300):
+        partition, traces = reference_solve(inst)
+        assert solve(inst)[0].blocks == partition.blocks, inst
+        assert solve(inst, want_trace=True)[1] == traces, inst
+
+
+def test_solve_matches_reference_on_seeded_instances_to_1e5():
+    for inst in seeded_instances(seed=20190716, max_n=10**5, drawn=24):
+        assert solve(inst)[0].blocks == reference_solve(inst)[0].blocks, inst
+
+
+def test_solve_traces_match_reference_to_1e4():
+    for inst in seeded_instances(seed=7, max_n=10**4, drawn=24):
+        partition, traces = solve(inst, want_trace=True)
+        expected_partition, expected_traces = reference_solve(inst)
+        assert partition.blocks == expected_partition.blocks, inst
+        assert traces == expected_traces, inst
