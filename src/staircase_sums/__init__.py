@@ -18,7 +18,6 @@ from .construct import (
     peel,
     solve,
 )
-from .kernels import backend as kernel_backend
 from .oracle import (
     VerifyReport,
     count_runs_bruteforce,
@@ -61,7 +60,6 @@ __all__ = [
     "enumerate_all",
     "enumerate_runs",
     "is_triangular",
-    "kernel_backend",
     "layer",
     "odd_divisors",
     "peel",

@@ -98,7 +98,8 @@ def _trace_text(traces: list[LayerTrace]) -> list[str]:
 def cmd_runs(args: argparse.Namespace) -> CommandOutcome:
     value = args.n
     runs = enumerate_runs(value)
-    divisor_count = len(odd_divisors(value))
+    # enumerate_runs builds exactly one run per odd divisor
+    divisor_count = len(runs)
     result = {
         "odd_divisor_count": divisor_count,
         "runs": [{"a": r.a, "b": r.b, "length": r.length()} for r in runs],

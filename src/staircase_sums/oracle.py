@@ -1,20 +1,24 @@
 """Independent checking and exhaustive census of block partitions.
 
 Nothing here shares code with :mod:`staircase_sums.construct`: verification is
-plain set arithmetic and the census is a standalone backtracking search, so
-either side can catch the other out.
+plain set arithmetic and the census is a count over the multisets of deficits
+the targets still need, so either side can catch the other out.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from . import kernels
 from .construct import Partition
 from .runs import ConsecutiveRun, Instance
 
 DEFAULT_ENUM_LIMIT = 30
+# Most census states visited, and largest n, that ``count`` accepts; a larger
+# census is refused.  The README gives the measured time and memory at this bound.
+CENSUS_MAX_STATES = 250_000
 BRUTEFORCE_MAX = 10**6
 
 # finding tags used in VerifyReport.violations
@@ -85,6 +89,118 @@ def hard_limit() -> int:
         raise ValueError(f"ENUM_HARD_LIMIT must be an integer, got {raw!r}") from None
 
 
+def _moves(state: tuple[int, ...], e: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Yield (deficit, multiplicity, next state) for each place element e can go.
+
+    ``state`` is the sorted tuple of positive deficits before e is placed; e
+    can go to any deficit d >= e, and the copies of an equal d all lead to the
+    same next state.  Each of the elements e-1..1 closes at most one deficit,
+    so a next state with more than e-1 deficits is never yielded.
+    """
+    last = len(state)
+    i = bisect_left(state, e)
+    while i < last:
+        d = state[i]
+        j = i + 1
+        while j < last and state[j] == d:
+            j += 1
+        if d == e:
+            yield d, j - i, state[:i] + state[i + 1:]
+        elif last < e:
+            k = bisect_left(state, d - e, 0, i)
+            yield d, j - i, state[:k] + (d - e,) + state[k:i] + state[i + 1:]
+        i = j
+
+
+def _count_partitions(n: int, targets: tuple[int, ...]) -> int:
+    """Number of partitions of {1..n} into blocks summing to ``targets``.
+
+    Elements are placed n, n-1, ..., 1, one level each; each level maps the
+    states reachable before element e is placed to the number of ways to
+    reach them.  A state with one deficit left, which is then T(e), has
+    exactly one completion: elements e..1 all go to that target.  Raises
+    ValueError for n above ``CENSUS_MAX_STATES`` and once more than that many
+    states have been visited.
+    """
+    if n > CENSUS_MAX_STATES:
+        raise ValueError(f"the census accepts n <= {CENSUS_MAX_STATES}, got n={n}")
+    count = 0
+    level = {targets: 1}
+    visited = 1
+    for e in range(n, 0, -1):
+        below: dict[tuple[int, ...], int] = {}
+        for state, ways in level.items():
+            if len(state) == 1:
+                count += ways
+                continue
+            for _, mult, nxt in _moves(state, e):
+                below[nxt] = below.get(nxt, 0) + mult * ways
+            if visited + len(below) > CENSUS_MAX_STATES:
+                raise ValueError(
+                    f"the census of n={n}, targets {targets[0]}..{targets[-1]} needs more "
+                    f"than {CENSUS_MAX_STATES} states; refused"
+                )
+        if not below:
+            break
+        visited += len(below)
+        level = below
+    return count
+
+
+def _list_partitions(
+    n: int, targets: tuple[int, ...], cap: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The first ``cap`` partitions in search order: elements n..1, targets ascending.
+
+    An iterative depth-first search over per-target deficits.  A state whose
+    subtree it searched to the end without finding a partition has no
+    completion; it is remembered and never entered again, so the search takes
+    about n steps per partition plus one visit per such dead state.  Each
+    partition is a tuple of per-target element tuples (targets ascending,
+    elements ascending).
+    """
+    s = len(targets)
+    deficits = list(targets)
+    owner = [0] * (n + 1)
+    states = [()] * (n + 1)  # states[e]: the sorted positive deficits before e is placed
+    states[n] = targets
+    found = [0] * (n + 1)  # found[e]: partitions listed when the search entered states[e]
+    dead: set[tuple[int, ...]] = set()
+    out: list[tuple[tuple[int, ...], ...]] = []
+    e, ti = n, 0
+    while len(out) < cap:
+        if e == 0:
+            blocks: list[list[int]] = [[] for _ in range(s)]
+            for x in range(1, n + 1):
+                blocks[owner[x]].append(x)
+            out.append(tuple(tuple(blk) for blk in blocks))
+        else:
+            step = {d: nxt for d, _, nxt in _moves(states[e], e)}
+            while ti < s:
+                nxt = step.get(deficits[ti])
+                if nxt is not None and nxt not in dead:
+                    break
+                ti += 1
+            if ti < s:
+                states[e - 1] = nxt
+                found[e - 1] = len(out)
+                deficits[ti] -= e
+                owner[e] = ti
+                e, ti = e - 1, 0
+                continue
+            if found[e] == len(out):
+                dead.add(states[e])
+            if e == n:
+                break
+        # no target left to try here: go up, take back the element placed
+        # there and try its next target
+        e += 1
+        ti = owner[e]
+        deficits[ti] += e
+        ti += 1
+    return out
+
+
 def enumerate_all(
     inst: Instance,
     materialize: bool = False,
@@ -93,15 +209,23 @@ def enumerate_all(
 ) -> tuple[int, list[Partition] | None]:
     """Count every partition of {1..n} realizing the instance's run.
 
-    The search assigns elements in descending order n..1 to targets with
-    sufficient remaining capacity, branching over targets in ascending order;
-    that fixes the enumeration order.  The count is always exact; with
-    ``materialize`` the first ``cap`` partitions (all of them when ``cap`` is
-    None) are returned as well.
+    Elements are placed in descending order n..1, each into a target whose
+    remaining deficit can take it.  How many ways elements e..1 can finish
+    depends only on e and the multiset of positive deficits, so the census
+    counts over those states one element at a time, merging equal deficits
+    with their multiplicity: the work follows the number of distinct states,
+    not of partitions.  The count is always exact.
 
-    The search is exponential, so n above the hard limit (default
-    ``DEFAULT_ENUM_LIMIT``, see ENUM_HARD_LIMIT) is refused unless ``force``
-    is set.
+    With ``materialize`` the first ``cap`` partitions (all of them when
+    ``cap`` is None) are returned as well, in the order of a search that
+    branches over targets in ascending order.  That search remembers the
+    states it found to have no completion and skips them, so listing K
+    partitions costs about K * n steps plus one visit per such state.
+
+    n above the hard limit (default ``DEFAULT_ENUM_LIMIT``, see
+    ENUM_HARD_LIMIT) is refused unless ``force`` is set.  n above
+    ``CENSUS_MAX_STATES``, or a census that visits more states than that, is
+    refused even then.
     """
     limit = hard_limit()
     if inst.n > limit and not force:
@@ -109,15 +233,11 @@ def enumerate_all(
             f"n={inst.n} exceeds the enumeration hard limit {limit}; "
             f"raise ENUM_HARD_LIMIT or force the run to override"
         )
-    if not materialize:
-        cap_eff = 0
-    elif cap is None:
-        cap_eff = 2**62
-    else:
-        cap_eff = max(0, cap)
-    count, raw = kernels.enumerate_partitions(inst.n, inst.run.a, inst.run.b, cap_eff)
+    targets = tuple(inst.run.values())
+    count = _count_partitions(inst.n, targets)
     if not materialize:
         return count, None
+    raw = _list_partitions(inst.n, targets, count if cap is None else min(cap, count))
     partitions = [
         Partition(inst.n, inst.run, dict(zip(inst.run.values(), blocks)))
         for blocks in raw
@@ -135,7 +255,19 @@ def count_runs_bruteforce(value: int) -> int:
         raise ValueError(f"value must be >= 1, got {value}")
     if value > BRUTEFORCE_MAX:
         raise ValueError(f"value must be <= {BRUTEFORCE_MAX}, got {value}")
-    return kernels.count_consecutive_runs(value)
+    count = 0
+    a = 1
+    b = 0
+    window = 0
+    while a <= value:
+        while window < value:
+            b += 1
+            window += b
+        if window == value:
+            count += 1
+        window -= a
+        a += 1
+    return count
 
 
 def count_runs_bruteforce_upto(limit: int) -> list[int]:
@@ -148,4 +280,12 @@ def count_runs_bruteforce_upto(limit: int) -> list[int]:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > BRUTEFORCE_MAX:
         raise ValueError(f"limit must be <= {BRUTEFORCE_MAX}, got {limit}")
-    return kernels.count_consecutive_runs_upto(limit)
+    counts = [0] * (limit + 1)
+    for a in range(1, limit + 1):
+        total = 0
+        for b in range(a, limit + 1):
+            total += b
+            if total > limit:
+                break
+            counts[total] += 1
+    return counts

@@ -7,12 +7,20 @@ integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from . import kernels
-
 INT64_MAX = 2**63 - 1
+
+# odd_divisors trial-divides by the odd primes below _TRIAL_BOUND first
+_TRIAL_BOUND = 1024
+_TRIAL_PRIMES = tuple(
+    p for p in range(3, _TRIAL_BOUND, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+)
+# The strong probable-prime test to these bases is exact below 3.18 * 10**23,
+# which covers every 64-bit value (Sorenson & Webster, Math. Comp. 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _checked(value: int, what: str) -> int:
@@ -84,12 +92,98 @@ class Instance:
             )
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for an odd n > 37 below 3.18 * 10**23."""
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _find_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard rho with Brent's cycle search.
+
+    Brent, "An improved Monte Carlo factorization algorithm", BIT 20 (1980).
+    Starts are fixed, so the factor found is deterministic; a constant c whose
+    walk collapses to n is replaced by the next one.
+    """
+    batch = 128
+    for c in itertools.count(1):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batched product overshot: replay the last batch one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
+
+
+def _odd_prime_factors(value: int) -> dict[int, int]:
+    """Prime factorisation of the odd part of ``value``, as {prime: exponent}."""
+    value >>= (value & -value).bit_length() - 1
+    factors: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > value:
+            break
+        while value % p == 0:
+            value //= p
+            factors[p] = factors.get(p, 0) + 1
+    # What is left has no prime factor below the trial bound (or is 1 or a
+    # prime, if trial division stopped early), so its factors under
+    # _TRIAL_BOUND**2 are prime.
+    pending = [value] if value > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_BOUND**2 or _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            f = _find_factor(m)
+            pending += (f, m // f)
+    return factors
+
+
 def odd_divisors(value: int) -> list[int]:
-    """All odd d with d | value, ascending."""
+    """All odd d with d | value, ascending.
+
+    Expands the factorisation of value's odd part: trial division by the
+    small primes, then Miller-Rabin and Pollard-Brent for what is left.  The
+    cost grows with the square root of value's second-largest prime factor,
+    at most the fourth root of value, not with the square root of value.
+    """
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value}")
     _checked(value, "value")
-    return kernels.odd_divisors(value)
+    divisors = [1]
+    for p, e in _odd_prime_factors(value).items():
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    divisors.sort()
+    return divisors
 
 
 def enumerate_runs(value: int) -> list[ConsecutiveRun]:
@@ -99,11 +193,8 @@ def enumerate_runs(value: int) -> list[ConsecutiveRun]:
     opposite parity, so each odd divisor of ``value`` is the odd factor of
     exactly one such factorization and yields exactly one run.
     """
-    if value < 1:
-        raise ValueError(f"value must be >= 1, got {value}")
-    _checked(value, "value")
     runs = []
-    for d in kernels.odd_divisors(value):
+    for d in odd_divisors(value):
         e = 2 * value // d
         s, f = (d, e) if d < e else (e, d)
         first = (f - s + 1) // 2

@@ -104,6 +104,26 @@ def test_count_over_limit_is_refused(run_cli):
     assert "count = 1" in forced.stdout
 
 
+@pytest.mark.parametrize("n", [1200, 3000])
+def test_deep_forced_count(run_cli, n):
+    t = n * (n + 1) // 2
+    result = run_cli("count", n, t, t, "--force")
+    assert result.returncode == 0, result.stderr
+    assert "count = 1" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "value,odd_divisor_count",
+    [(9223372036854775807, 96), (4611685975477714963, 4)],
+)
+def test_runs_of_large_64_bit_values(run_cli, value, odd_divisor_count):
+    result = run_cli("runs", value, "--json", "--no-timing")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)["result"]
+    assert payload["odd_divisor_count"] == odd_divisor_count
+    assert len(payload["runs"]) == odd_divisor_count
+
+
 def test_enum_hard_limit_env(run_cli):
     result = run_cli("count", 14, 15, 20, env_extra={"ENUM_HARD_LIMIT": "10"})
     assert result.returncode == 2
@@ -127,6 +147,9 @@ def test_render_max_width_env(run_cli):
         ["selftest", 0],
         ["partition", PARTITION_MAX_N + 1, 1, 1],
         ["selftest", SELFTEST_MAX_N + 1],
+        # past the census state cap, and past its bound on n
+        ["count", 35, 66, 74, "--force"],
+        ["count", 250001, 31250375001, 31250375001, "--force"],
     ],
 )
 def test_user_errors_exit_2(run_cli, args):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from staircase_sums import oracle
 from staircase_sums.construct import Partition, solve
 from staircase_sums.oracle import (
     DUPLICATE_ELEMENT,
@@ -47,6 +48,49 @@ def _census_by_product(inst):
                 blocks[targets[ti]].append(e)
             found.append({t: tuple(v) for t, v in blocks.items()})
     return found
+
+
+def _census_by_backtracking(n, a, b, cap):
+    """Reference census: (count, first ``cap`` partitions) by plain backtracking.
+
+    Elements go in descending order n..1, branching over targets in
+    ascending order; that is the listing order ``enumerate_all`` must keep.
+    Each partition is a tuple of per-target element tuples.
+    """
+    s = b - a + 1
+    deficits = list(range(a, b + 1))
+    assign = [0] * (n + 1)
+    out = []
+    count = 0
+
+    def search(e, npos):
+        nonlocal count
+        if e == 0:
+            count += 1
+            if len(out) < cap:
+                blocks = [[] for _ in range(s)]
+                for x in range(1, n + 1):
+                    blocks[assign[x]].append(x)
+                out.append(tuple(tuple(blk) for blk in blocks))
+            return
+        if npos > e:
+            # each remaining element can close at most one positive target
+            return
+        for ti in range(s):
+            d = deficits[ti]
+            if d >= e:
+                deficits[ti] = d - e
+                assign[e] = ti
+                search(e - 1, npos - (d == e))
+                deficits[ti] = d
+
+    search(n, s)
+    return count, out
+
+
+def _listed(inst, cap=None):
+    count, partitions = enumerate_all(inst, materialize=True, cap=cap)
+    return count, [tuple(p.blocks[t] for t in inst.run.values()) for p in partitions]
 
 
 # ---------------------------------------------------------------- verify
@@ -151,6 +195,37 @@ def test_enumerate_all_matches_product_census():
 )
 def test_enumerate_all_counts(n, a, b, expected):
     assert enumerate_all(Instance(n, ConsecutiveRun(a, b)))[0] == expected
+
+
+def test_enumerate_all_matches_backtracking_reference():
+    checked = 0
+    for n in range(1, 13):
+        for run in enumerate_runs(triangular(n)):
+            inst = Instance(n, run)
+            assert _listed(inst) == _census_by_backtracking(n, run.a, run.b, 10**6)
+            checked += 1
+    assert checked == 38
+
+
+@pytest.mark.parametrize("n,a,b,cap", [(14, 15, 20, 40), (12, 25, 27, 7)])
+def test_enumerate_all_capped_listing_matches_backtracking_reference(n, a, b, cap):
+    inst = Instance(n, ConsecutiveRun(a, b))
+    assert _listed(inst, cap) == _census_by_backtracking(n, a, b, cap)
+
+
+def test_enumerate_all_deep_forced_count():
+    n = 3000
+    inst = Instance(n, ConsecutiveRun(triangular(n), triangular(n)))
+    count, partitions = enumerate_all(inst, materialize=True, force=True)
+    assert count == 1
+    assert partitions[0].blocks == {triangular(n): tuple(range(1, n + 1))}
+
+
+def test_enumerate_all_refuses_past_state_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "CENSUS_MAX_STATES", 1000)
+    with pytest.raises(ValueError, match="states"):
+        enumerate_all(Instance(14, ConsecutiveRun(15, 20)))
+    assert enumerate_all(Instance(12, ConsecutiveRun(25, 27)))[0] == 593
 
 
 def test_enumerate_all_count_regression_six_target_instance():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,38 @@ def _runs_by_scan(value: int) -> list[tuple[int, int]]:
         if total == value:
             found.append((a, b))
     return found
+
+
+def _odd_divisors_by_trial(value: int) -> list[int]:
+    """Independent oracle: odd divisors by trial division up to sqrt(value)."""
+    divs = []
+    i = 1
+    while i <= value // i:
+        if value % i == 0:
+            if i & 1:
+                divs.append(i)
+            q = value // i
+            if q != i and q & 1:
+                divs.append(q)
+        i += 1
+    return sorted(divs)
+
+
+# value -> factorisation of its odd part: large primes, prime powers, balanced
+# semiprimes, strong pseudoprimes to many bases, and Carmichael numbers
+HARD_FACTORISATIONS = {
+    2**63 - 1: {7: 2, 73: 1, 127: 1, 337: 1, 92737: 1, 649657: 1},
+    2**62 - 2: {2**61 - 1: 1},
+    3**39: {3: 39},
+    2147483647**2: {2147483647: 2},
+    4611685975477714963: {2147483629: 1, 2147483647: 1},
+    # strong pseudoprime to bases 2, 3, 5, 7
+    3215031751: {151: 1, 751: 1, 28351: 1},
+    # strong pseudoprime to the first nine prime bases
+    3825123056546413051: {149491: 1, 747451: 1, 34233211: 1},
+    561: {3: 1, 11: 1, 17: 1},
+    41041: {7: 1, 11: 1, 13: 1, 41: 1},
+}
 
 
 @pytest.mark.parametrize("n,expected", [(0, 0), (1, 1), (5, 15), (14, 105)])
@@ -99,6 +134,24 @@ def test_odd_divisors_examples(value, expected):
 @given(st.integers(min_value=1, max_value=5000))
 def test_odd_divisors_against_full_scan(value):
     assert odd_divisors(value) == [d for d in range(1, value + 1, 2) if value % d == 0]
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=10**9))
+def test_odd_divisors_against_trial_division(value):
+    assert odd_divisors(value) == _odd_divisors_by_trial(value)
+
+
+@pytest.mark.parametrize("value", sorted(HARD_FACTORISATIONS))
+def test_odd_divisors_of_hard_values(value):
+    factors = HARD_FACTORISATIONS[value]
+    odd_part = math.prod(p**e for p, e in factors.items())
+    assert value % odd_part == 0 and (value // odd_part).bit_count() == 1
+    expected = sorted(
+        math.prod(p**k for p, k in zip(factors, exps))
+        for exps in itertools.product(*(range(e + 1) for e in factors.values()))
+    )
+    assert odd_divisors(value) == expected
 
 
 def test_odd_divisors_rejects_nonpositive():
