@@ -12,10 +12,11 @@ failed), 2 user error.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import oracle, render
 from .construct import LayerTrace, Partition, difference_pairs, solve
@@ -24,7 +25,6 @@ from .runs import (
     Instance,
     check_length_bound,
     enumerate_runs,
-    odd_divisors,
     triangular,
 )
 
@@ -34,6 +34,46 @@ DEFAULT_LIST_LIMIT = 20
 # measured worst-case time at each bound.
 PARTITION_MAX_N = 10**5
 SELFTEST_MAX_N = 1000
+LIST_MAX_LIMIT = 10_000  # largest --limit that count --list accepts
+
+
+def to_json(value, pad: str = "\n") -> str:
+    """``value`` as JSON indented by two spaces, byte for byte as the stdlib
+    ``json.dumps`` writes it with that indent, for what an envelope holds.
+
+    ``pad`` is a newline plus the indentation of the line ``value`` starts on.
+    The stdlib drops to its pure-Python encoder whenever an indent is set;
+    this writer makes one call per container and joins a flat list of ints in
+    C.  Like the stdlib, it raises TypeError on any other type; it also
+    raises it on a key that is not a str, and ValueError on NaN or infinity.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [to_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # the escaper itself raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(key) + ": " + to_json(item, inner)
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -139,6 +179,8 @@ def cmd_partition(args: argparse.Namespace) -> CommandOutcome:
 def cmd_count(args: argparse.Namespace) -> CommandOutcome:
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
     cap = args.limit if args.limit is not None else DEFAULT_LIST_LIMIT
+    if not 1 <= cap <= LIST_MAX_LIMIT:
+        raise ValueError(f"--limit must be in 1..{LIST_MAX_LIMIT}, got {cap}")
     count, partitions = oracle.enumerate_all(
         inst, materialize=args.list, cap=cap if args.list else None, force=args.force
     )
@@ -197,9 +239,10 @@ def _selftest_checks(max_n: int):
         limit = min(triangular(max_n), 10**5)
         brute_limit = min(limit, 10**4)
         brute = oracle.count_runs_bruteforce_upto(brute_limit)
+        sieve = oracle.odd_divisor_counts_upto(limit)
         for value in range(1, limit + 1):
             runs = enumerate_runs(value)
-            expected = len(odd_divisors(value))
+            expected = sieve[value]
             if len(runs) != expected:
                 return value, f"run count != odd divisor count at {value}"
             if any(r.sum() != value for r in runs):
@@ -298,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int)
     p.add_argument("--list", action="store_true", help="also print the partitions")
     p.add_argument("--limit", type=int, default=None,
-                   help=f"max partitions to list (default {DEFAULT_LIST_LIMIT})")
+                   help=f"max partitions to list (default {DEFAULT_LIST_LIMIT}, "
+                        f"at most {LIST_MAX_LIMIT})")
     p.add_argument("--force", action="store_true",
                    help="override the enumeration hard limit on n")
     p.set_defaults(handler=cmd_count)
@@ -341,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         if not args.no_timing:
             envelope["timing_ms"] = round(elapsed_ms, 3)
-        print(json.dumps(envelope, indent=2))
+        print(to_json(envelope))
     else:
         print(outcome.text)
     return outcome.code

@@ -289,3 +289,20 @@ def count_runs_bruteforce_upto(limit: int) -> list[int]:
                 break
             counts[total] += 1
     return counts
+
+
+def odd_divisor_counts_upto(limit: int) -> list[int]:
+    """Number of odd divisors of every value <= limit, by a sieve.
+
+    ``result[v]`` counts the odd d dividing v, for 1 <= v <= limit (index 0 is
+    unused): each odd d adds one to each of its multiples.  No value is
+    factored, so the counts are independent of
+    :func:`staircase_sums.runs.odd_divisors`.
+    """
+    if not 1 <= limit <= BRUTEFORCE_MAX:
+        raise ValueError(f"limit must be in 1..{BRUTEFORCE_MAX}, got {limit}")
+    counts = [0] * (limit + 1)
+    for d in range(1, limit + 1, 2):
+        for multiple in range(d, limit + 1, d):
+            counts[multiple] += 1
+    return counts

@@ -7,8 +7,11 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from staircase_sums.cli import PARTITION_MAX_N, SELFTEST_MAX_N
+from staircase_sums import cli
+from staircase_sums.cli import LIST_MAX_LIMIT, PARTITION_MAX_N, SELFTEST_MAX_N
 
 GOLDEN_COMMANDS = {
     "runs_15.json": ["runs", 15],
@@ -150,6 +153,8 @@ def test_render_max_width_env(run_cli):
         # past the census state cap, and past its bound on n
         ["count", 35, 66, 74, "--force"],
         ["count", 250001, 31250375001, 31250375001, "--force"],
+        ["count", 5, 7, 8, "--list", "--limit", -3],
+        ["count", 5, 7, 8, "--list", "--limit", LIST_MAX_LIMIT + 1],
     ],
 )
 def test_user_errors_exit_2(run_cli, args):
@@ -168,3 +173,46 @@ def test_selftest_passes(run_cli):
     result = run_cli("selftest", 25)
     assert result.returncode == 0
     assert "all checks passed" in result.stdout
+
+
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€\U0001f600') | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150)
+@given(_JSON_VALUES)
+def test_json_writer_matches_stdlib_indent_2(value):
+    assert cli.to_json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_refuses_what_json_cannot_hold():
+    for value in ({1, 2}, [b"bytes"], {"key": object()}, {1: "int key"}):
+        with pytest.raises(TypeError):
+            cli.to_json(value)
+    with pytest.raises(ValueError):
+        cli.to_json([float("nan")])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["partition", 10000, 50005000, 50005000, "--trace"],
+        ["partition", 14, 15, 20, "--trace"],
+        ["runs", 720720],
+        ["count", 14, 15, 20, "--list", "--limit", 30],
+        ["render", 5, 7, 8],
+        ["selftest", 12],
+    ],
+)
+def test_json_replies_are_stdlib_indent_2(capsys, args):
+    # timing_ms stays in, so a float is written too
+    assert cli.main([*map(str, args), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
