@@ -33,6 +33,8 @@ DEFAULT_LIST_LIMIT = 20
 # Largest sizes the CLI accepts; larger ones exit 2.  The README gives the
 # measured worst-case time at each bound.
 PARTITION_MAX_N = 10**5
+COUNT_MAX_N = 250_000
+RENDER_MAX_WIDTH = 100  # longest staircase or rebuilt row, in cells
 SELFTEST_MAX_N = 1000
 LIST_MAX_LIMIT = 10_000  # largest --limit that count --list accepts
 
@@ -177,12 +179,14 @@ def cmd_partition(args: argparse.Namespace) -> CommandOutcome:
 
 
 def cmd_count(args: argparse.Namespace) -> CommandOutcome:
+    if args.n > COUNT_MAX_N:
+        raise ValueError(f"count accepts n <= {COUNT_MAX_N}, got n={args.n}")
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
     cap = args.limit if args.limit is not None else DEFAULT_LIST_LIMIT
     if not 1 <= cap <= LIST_MAX_LIMIT:
         raise ValueError(f"--limit must be in 1..{LIST_MAX_LIMIT}, got {cap}")
     count, partitions = oracle.enumerate_all(
-        inst, materialize=args.list, cap=cap if args.list else None, force=args.force
+        inst, materialize=args.list, cap=cap if args.list else None
     )
     result: dict = {"count": count}
     lines = [f"n = {inst.n}, run = {inst.run}", f"count = {count}"]
@@ -202,6 +206,9 @@ def cmd_count(args: argparse.Namespace) -> CommandOutcome:
 def cmd_render(args: argparse.Namespace) -> CommandOutcome:
     if (args.a is None) != (args.b is None):
         raise ValueError("render takes either just n, or n together with both a and b")
+    widest = max(args.n, args.b or 0)
+    if widest > RENDER_MAX_WIDTH:
+        raise ValueError(f"render draws rows of at most {RENDER_MAX_WIDTH} cells, got {widest}")
     staircase = render.render_staircase(args.n)
     input_echo: dict = {"n": args.n}
     result: dict = {"staircase": staircase.split("\n")}
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"max partitions to list (default {DEFAULT_LIST_LIMIT}, "
                         f"at most {LIST_MAX_LIMIT})")
     p.add_argument("--force", action="store_true",
-                   help="override the enumeration hard limit on n")
+                   help="has no effect; kept so existing command lines still parse")
     p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("render", parents=[common],

@@ -7,7 +7,6 @@ the targets still need, so either side can catch the other out.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -15,10 +14,10 @@ from dataclasses import dataclass
 from .construct import Partition
 from .runs import ConsecutiveRun, Instance
 
-DEFAULT_ENUM_LIMIT = 30
-# Most census states visited, and largest n, that ``count`` accepts; a larger
-# census is refused.  The README gives the measured time and memory at this bound.
-CENSUS_MAX_STATES = 250_000
+# Most deficit entries the census builds (the lengths of all the next states
+# of its moves, added up); a larger census is refused.  The README gives the
+# measured time and memory at this bound.
+CENSUS_MAX_ENTRIES = 1_000_000
 BRUTEFORCE_MAX = 10**6
 
 # finding tags used in VerifyReport.violations
@@ -78,17 +77,6 @@ def verify(n: int, run: ConsecutiveRun, partition: Partition) -> VerifyReport:
     return VerifyReport(ok=not violations, violations=tuple(violations))
 
 
-def hard_limit() -> int:
-    """Enumeration size guard, overridable via ENUM_HARD_LIMIT."""
-    raw = os.environ.get("ENUM_HARD_LIMIT")
-    if raw is None or raw == "":
-        return DEFAULT_ENUM_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"ENUM_HARD_LIMIT must be an integer, got {raw!r}") from None
-
-
 def _moves(state: tuple[int, ...], e: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Yield (deficit, multiplicity, next state) for each place element e can go.
 
@@ -119,14 +107,12 @@ def _count_partitions(n: int, targets: tuple[int, ...]) -> int:
     states reachable before element e is placed to the number of ways to
     reach them.  A state with one deficit left, which is then T(e), has
     exactly one completion: elements e..1 all go to that target.  Raises
-    ValueError for n above ``CENSUS_MAX_STATES`` and once more than that many
-    states have been visited.
+    ValueError once the next states built add up to more than
+    ``CENSUS_MAX_ENTRIES`` deficits, so one wide state cannot outrun the bound.
     """
-    if n > CENSUS_MAX_STATES:
-        raise ValueError(f"the census accepts n <= {CENSUS_MAX_STATES}, got n={n}")
     count = 0
     level = {targets: 1}
-    visited = 1
+    entries = 0
     for e in range(n, 0, -1):
         below: dict[tuple[int, ...], int] = {}
         for state, ways in level.items():
@@ -134,15 +120,15 @@ def _count_partitions(n: int, targets: tuple[int, ...]) -> int:
                 count += ways
                 continue
             for _, mult, nxt in _moves(state, e):
+                entries += len(nxt)
+                if entries > CENSUS_MAX_ENTRIES:
+                    raise ValueError(
+                        f"the census of n={n}, targets {targets[0]}..{targets[-1]} builds "
+                        f"more than {CENSUS_MAX_ENTRIES} deficit entries; refused"
+                    )
                 below[nxt] = below.get(nxt, 0) + mult * ways
-            if visited + len(below) > CENSUS_MAX_STATES:
-                raise ValueError(
-                    f"the census of n={n}, targets {targets[0]}..{targets[-1]} needs more "
-                    f"than {CENSUS_MAX_STATES} states; refused"
-                )
         if not below:
             break
-        visited += len(below)
         level = below
     return count
 
@@ -205,7 +191,6 @@ def enumerate_all(
     inst: Instance,
     materialize: bool = False,
     cap: int | None = None,
-    force: bool = False,
 ) -> tuple[int, list[Partition] | None]:
     """Count every partition of {1..n} realizing the instance's run.
 
@@ -222,17 +207,11 @@ def enumerate_all(
     states it found to have no completion and skips them, so listing K
     partitions costs about K * n steps plus one visit per such state.
 
-    n above the hard limit (default ``DEFAULT_ENUM_LIMIT``, see
-    ENUM_HARD_LIMIT) is refused unless ``force`` is set.  n above
-    ``CENSUS_MAX_STATES``, or a census that visits more states than that, is
-    refused even then.
+    The count is refused with ValueError once it has built more than
+    ``CENSUS_MAX_ENTRIES`` deficit entries: its time and memory follow that
+    figure, which also bounds the states it visits.  Only the starting state,
+    one deficit per target, is built before the bound applies.
     """
-    limit = hard_limit()
-    if inst.n > limit and not force:
-        raise ValueError(
-            f"n={inst.n} exceeds the enumeration hard limit {limit}; "
-            f"raise ENUM_HARD_LIMIT or force the run to override"
-        )
     targets = tuple(inst.run.values())
     count = _count_partitions(inst.n, targets)
     if not materialize:

@@ -8,24 +8,9 @@ the two renderings of the same n use the same multiset of cells.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .construct import Partition
-
-DEFAULT_MAX_WIDTH = 100
-
-
-def max_render_width() -> int:
-    """Longest row (in cells) the renderer accepts; RENDER_MAX_WIDTH overrides."""
-    raw = os.environ.get("RENDER_MAX_WIDTH")
-    if raw is None or raw == "":
-        return DEFAULT_MAX_WIDTH
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"RENDER_MAX_WIDTH must be an integer, got {raw!r}") from None
-
 
 @dataclass(frozen=True)
 class TableauLayout:
@@ -36,22 +21,16 @@ class TableauLayout:
 
 def staircase_layout(n: int) -> TableauLayout:
     """Rows of lengths 1..n, shortest on top."""
-    limit = max_render_width()
-    if not 1 <= n <= limit:
-        raise ValueError(f"staircase rows must satisfy 1 <= n <= {limit}, got {n}")
+    if n < 1:
+        raise ValueError(f"staircase rows must satisfy n >= 1, got {n}")
     return TableauLayout(rows=tuple((k, (k,) * k) for k in range(1, n + 1)))
 
 
 def rebuilt_layout(partition: Partition) -> TableauLayout:
     """One row per target, shortest on top, segments in descending element order."""
-    limit = max_render_width()
     targets = sorted(partition.blocks)
     if not targets:
         raise ValueError("partition has no blocks to render")
-    if targets[-1] > limit:
-        raise ValueError(
-            f"rebuilt row of length {targets[-1]} exceeds the width limit {limit}"
-        )
     rows = []
     for t in targets:
         labels: list[int] = []

@@ -167,8 +167,7 @@ def test_criterion_7_byte_identical_json(run_cli):
     assert mismatches == 0
 
 
-def test_criterion_8_rendering_conservation(monkeypatch, run_cli):
-    monkeypatch.setenv("RENDER_MAX_WIDTH", "1000")
+def test_criterion_8_rendering_conservation(run_cli):
     started = time.perf_counter()
     failures = 0
     for n in range(1, 41):
@@ -179,7 +178,6 @@ def test_criterion_8_rendering_conservation(monkeypatch, run_cli):
             labels = [lab for _, row in layout.rows for lab in row]
             if len(labels) != triangular(n) or Counter(labels) != expected:
                 failures += 1
-    monkeypatch.delenv("RENDER_MAX_WIDTH")
     partition, _ = solve(Instance(5, ConsecutiveRun(7, 8)))
     row_lengths = sorted(
         len(row) for _, row in render.rebuilt_layout(partition).rows

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase_sums import cli
-from staircase_sums.cli import LIST_MAX_LIMIT, PARTITION_MAX_N, SELFTEST_MAX_N
+from staircase_sums.cli import (
+    COUNT_MAX_N,
+    LIST_MAX_LIMIT,
+    PARTITION_MAX_N,
+    RENDER_MAX_WIDTH,
+    SELFTEST_MAX_N,
+)
 
 GOLDEN_COMMANDS = {
     "runs_15.json": ["runs", 15],
@@ -99,12 +105,15 @@ def test_render_pair_has_both_tableaux(run_cli):
 
 
 def test_count_over_limit_is_refused(run_cli):
-    result = run_cli("count", 31, 496, 496)
+    # the only bound on n is COUNT_MAX_N; --force changes nothing
+    for flags in ((), ("--force",)):
+        result = run_cli("count", 31, 496, 496, *flags)
+        assert result.returncode == 0, result.stderr
+        assert "count = 1" in result.stdout
+    n = COUNT_MAX_N + 1
+    result = run_cli("count", n, n * (n + 1) // 2, n * (n + 1) // 2)
     assert result.returncode == 2
-    assert "hard limit" in result.stderr
-    forced = run_cli("count", 31, 496, 496, "--force")
-    assert forced.returncode == 0
-    assert "count = 1" in forced.stdout
+    assert f"count accepts n <= {COUNT_MAX_N}" in result.stderr
 
 
 @pytest.mark.parametrize("n", [1200, 3000])
@@ -127,18 +136,6 @@ def test_runs_of_large_64_bit_values(run_cli, value, odd_divisor_count):
     assert len(payload["runs"]) == odd_divisor_count
 
 
-def test_enum_hard_limit_env(run_cli):
-    result = run_cli("count", 14, 15, 20, env_extra={"ENUM_HARD_LIMIT": "10"})
-    assert result.returncode == 2
-    result = run_cli("count", 31, 496, 496, env_extra={"ENUM_HARD_LIMIT": "40"})
-    assert result.returncode == 0
-
-
-def test_render_max_width_env(run_cli):
-    result = run_cli("render", 20, env_extra={"RENDER_MAX_WIDTH": "10"})
-    assert result.returncode == 2
-
-
 @pytest.mark.parametrize(
     "args",
     [
@@ -155,6 +152,14 @@ def test_render_max_width_env(run_cli):
         ["count", 250001, 31250375001, 31250375001, "--force"],
         ["count", 5, 7, 8, "--list", "--limit", -3],
         ["count", 5, 7, 8, "--list", "--limit", LIST_MAX_LIMIT + 1],
+        # wide censuses past the entry bound, and n past COUNT_MAX_N: each
+        # must be refused before it outgrows the child's address-space limit
+        ["count", 1000, 1108, 1492, "--force"],
+        ["count", 4095, 5462, 6826],
+        ["count", 100000000, 1, 100000000, "--force"],
+        # rows wider than RENDER_MAX_WIDTH, staircase and rebuilt
+        ["render", RENDER_MAX_WIDTH + 1],
+        ["render", 14, 105, 105],
     ],
 )
 def test_user_errors_exit_2(run_cli, args):

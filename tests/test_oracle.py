@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -216,16 +217,28 @@ def test_enumerate_all_capped_listing_matches_backtracking_reference(n, a, b, ca
 def test_enumerate_all_deep_forced_count():
     n = 3000
     inst = Instance(n, ConsecutiveRun(triangular(n), triangular(n)))
-    count, partitions = enumerate_all(inst, materialize=True, force=True)
+    count, partitions = enumerate_all(inst, materialize=True)
     assert count == 1
     assert partitions[0].blocks == {triangular(n): tuple(range(1, n + 1))}
 
 
 def test_enumerate_all_refuses_past_state_cap(monkeypatch):
-    monkeypatch.setattr(oracle, "CENSUS_MAX_STATES", 1000)
-    with pytest.raises(ValueError, match="states"):
+    # (14,15,20) builds 17,605 deficit entries and (12,25,27) 782
+    bound = 10_000
+    monkeypatch.setattr(oracle, "CENSUS_MAX_ENTRIES", bound)
+    with pytest.raises(ValueError, match="deficit entries"):
         enumerate_all(Instance(14, ConsecutiveRun(15, 20)))
     assert enumerate_all(Instance(12, ConsecutiveRun(25, 27)))[0] == 593
+    # 385 targets: every state of the first level is 385 entries wide, so the
+    # bound must be checked as each one is built, not once per state expanded
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="deficit entries"):
+            enumerate_all(Instance(1000, ConsecutiveRun(1108, 1492)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * bound
 
 
 def test_enumerate_all_count_regression_six_target_instance():
@@ -255,22 +268,6 @@ def test_enumerate_all_contains_solver_output():
             _, partitions = enumerate_all(inst, materialize=True)
             constructed, _ = solve(inst)
             assert constructed in partitions
-
-
-def test_enumerate_all_hard_limit():
-    inst = Instance(31, ConsecutiveRun(496, 496))
-    with pytest.raises(ValueError, match="hard limit"):
-        enumerate_all(inst)
-    assert enumerate_all(inst, force=True)[0] == 1
-
-
-def test_enumerate_all_hard_limit_env_override(monkeypatch):
-    inst = Instance(31, ConsecutiveRun(496, 496))
-    monkeypatch.setenv("ENUM_HARD_LIMIT", "31")
-    assert enumerate_all(inst)[0] == 1
-    monkeypatch.setenv("ENUM_HARD_LIMIT", "zzz")
-    with pytest.raises(ValueError, match="ENUM_HARD_LIMIT"):
-        enumerate_all(inst)
 
 
 # ---------------------------------------------------------------- window scan
