@@ -5,6 +5,11 @@ Every subcommand accepts ``--json`` (emit a machine-readable envelope, see
 ``envelope_schema.json``) and ``--no-timing`` (omit the envelope's timing
 field so output bytes are reproducible).
 
+Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
+``input`` and ``result`` dicts and the exit code, and, only without
+``--json``, ``text_<command>(input_echo, result)`` prints the text lines from
+those same dicts, so text and JSON cannot disagree.
+
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
 failed), 2 user error.
 """
@@ -15,7 +20,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import oracle, render
@@ -78,81 +82,71 @@ def to_json(value, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-@dataclass
-class CommandOutcome:
-    input_echo: dict
-    result: dict
-    text: str
-    code: int = 0
-
-
 def _blocks_json(partition: Partition) -> dict[str, list[int]]:
     return {str(t): list(partition.blocks[t]) for t in sorted(partition.blocks)}
 
 
-def _blocks_text(partition: Partition) -> list[str]:
-    return [
-        f"U_{t} = {{{', '.join(str(e) for e in partition.blocks[t])}}}"
-        for t in sorted(partition.blocks)
-    ]
+def _blocks_text(blocks: dict[str, list[int]]) -> list[str]:
+    return [f"U_{t} = {{{', '.join(map(str, block))}}}" for t, block in blocks.items()]
 
 
 def _trace_json(traces: list[LayerTrace]) -> list[dict]:
-    out = []
-    for tr in traces:
-        out.append(
-            {
-                "n": tr.n,
-                "run": {"a": tr.run.a, "b": tr.run.b},
-                "s": tr.s,
-                "c": tr.c,
-                "p_range": list(tr.p_range),
-                "q_range": list(tr.q_range),
-                "deficits": tr.deficits(),
-                "m": tr.m,
-                "l": tr.low,
-                "assignments": [
-                    {"target": asg.target, "pair": list(asg.pair), "kind": asg.kind}
-                    for asg in tr.assignments
-                ],
-            }
-        )
-    return out
+    return [
+        {
+            "n": tr.n,
+            "run": {"a": tr.run.a, "b": tr.run.b},
+            "s": tr.s,
+            "c": tr.c,
+            "p_range": list(tr.p_range),
+            "q_range": list(tr.q_range),
+            "deficits": tr.deficits(),
+            "m": tr.m,
+            "l": tr.low,
+            "assignments": [
+                {"target": asg.target, "pair": list(asg.pair), "kind": asg.kind}
+                for asg in tr.assignments
+            ],
+        }
+        for tr in traces
+    ]
 
 
-def _trace_text(traces: list[LayerTrace]) -> list[str]:
+def _trace_text(trace: list[dict]) -> list[str]:
     lines = []
-    for idx, tr in enumerate(traces, start=1):
-        deficits = ",".join(str(d) for d in tr.deficits())
-        window = f" l={tr.low}" if tr.low is not None else ""
+    for idx, tr in enumerate(trace, start=1):
+        run, p, q = tr["run"], tr["p_range"], tr["q_range"]
+        deficits = ",".join(map(str, tr["deficits"]))
+        window = f" l={tr['l']}" if tr["l"] is not None else ""
         lines.append(
-            f"layer {idx}: n={tr.n} run={tr.run} s={tr.s} c={tr.c} "
-            f"P=[{tr.p_range[0]}..{tr.p_range[1]}] Q=[{tr.q_range[0]}..{tr.q_range[1]}] "
-            f"deficits=[{deficits}] m={tr.m}{window}"
+            f"layer {idx}: n={tr['n']} run=[{run['a']}..{run['b']}] s={tr['s']} c={tr['c']} "
+            f"P=[{p[0]}..{p[1]}] Q=[{q[0]}..{q[1]}] "
+            f"deficits=[{deficits}] m={tr['m']}{window}"
         )
-        for asg in tr.assignments:
-            lines.append(
-                f"  target {asg.target} <- ({asg.pair[0]}, {asg.pair[1]})  [{asg.kind}]"
-            )
+        for asg in tr["assignments"]:
+            lo, hi = asg["pair"]
+            lines.append(f"  target {asg['target']} <- ({lo}, {hi})  [{asg['kind']}]")
     return lines
 
 
-def cmd_runs(args: argparse.Namespace) -> CommandOutcome:
-    value = args.n
-    runs = enumerate_runs(value)
-    # enumerate_runs builds exactly one run per odd divisor
-    divisor_count = len(runs)
+def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict, int]:
+    runs = enumerate_runs(args.n)
     result = {
-        "odd_divisor_count": divisor_count,
+        # enumerate_runs builds exactly one run per odd divisor
+        "odd_divisor_count": len(runs),
         "runs": [{"a": r.a, "b": r.b, "length": r.length()} for r in runs],
     }
-    lines = [f"{value} has {len(runs)} consecutive-run representations "
-             f"(odd divisors: {divisor_count})"]
-    lines.extend(f"  {value} = {r}" for r in runs)
-    return CommandOutcome({"n": value}, result, "\n".join(lines))
+    return {"n": args.n}, result, 0
 
 
-def cmd_partition(args: argparse.Namespace) -> CommandOutcome:
+def text_runs(input_echo: dict, result: dict) -> list[str]:
+    value = input_echo["n"]
+    lines = [f"{value} has {len(result['runs'])} consecutive-run representations "
+             f"(odd divisors: {result['odd_divisor_count']})"]
+    lines.extend(f"  {value} = [{r['a']}..{r['b']}]" for r in result["runs"])
+    return lines
+
+
+def cmd_partition(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if args.n > PARTITION_MAX_N:
         raise ValueError(f"partition accepts n <= {PARTITION_MAX_N}, got n={args.n}")
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
@@ -160,25 +154,22 @@ def cmd_partition(args: argparse.Namespace) -> CommandOutcome:
     report = oracle.verify(inst.n, inst.run, partition)
     result: dict = {"blocks": _blocks_json(partition), "verified": report.ok}
     if args.trace:
-        result["trace"] = _trace_json(traces or [])
-    lines = []
-    if args.trace:
-        lines.extend(_trace_text(traces or []))
-    lines.append(f"n = {inst.n}, run = {inst.run}")
-    lines.extend(_blocks_text(partition))
-    code = 0
-    if report.ok:
-        lines.append("verified: ok")
-    else:
+        result["trace"] = _trace_json(traces)
+    if not report.ok:
         # cannot happen unless the solver is defective
-        lines.append(f"verified: FAILED {report.violations}")
-        code = 1
-    return CommandOutcome(
-        {"n": args.n, "a": args.a, "b": args.b}, result, "\n".join(lines), code
-    )
+        print(f"internal defect: verify found {report.violations}", file=sys.stderr)
+    return {"n": args.n, "a": args.a, "b": args.b}, result, 0 if report.ok else 1
 
 
-def cmd_count(args: argparse.Namespace) -> CommandOutcome:
+def text_partition(input_echo: dict, result: dict) -> list[str]:
+    lines = _trace_text(result["trace"]) if "trace" in result else []
+    lines.append(f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]")
+    lines.extend(_blocks_text(result["blocks"]))
+    lines.append("verified: ok" if result["verified"] else "verified: FAILED")
+    return lines
+
+
+def cmd_count(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if args.n > COUNT_MAX_N:
         raise ValueError(f"count accepts n <= {COUNT_MAX_N}, got n={args.n}")
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
@@ -189,42 +180,48 @@ def cmd_count(args: argparse.Namespace) -> CommandOutcome:
         inst, materialize=args.list, cap=cap if args.list else None
     )
     result: dict = {"count": count}
-    lines = [f"n = {inst.n}, run = {inst.run}", f"count = {count}"]
     if args.list:
-        shown = partitions or []
-        result["partitions"] = [_blocks_json(p) for p in shown]
-        result["truncated"] = count > len(shown)
-        for idx, p in enumerate(shown, start=1):
-            lines.append(f"#{idx}: " + "; ".join(_blocks_text(p)))
+        result["partitions"] = [_blocks_json(p) for p in partitions]
+        result["truncated"] = count > len(partitions)
+    return {"n": args.n, "a": args.a, "b": args.b}, result, 0
+
+
+def text_count(input_echo: dict, result: dict) -> list[str]:
+    count = result["count"]
+    lines = [f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]",
+             f"count = {count}"]
+    if "partitions" in result:
+        shown = result["partitions"]
+        for idx, blocks in enumerate(shown, start=1):
+            lines.append(f"#{idx}: " + "; ".join(_blocks_text(blocks)))
         if result["truncated"]:
             lines.append(f"... {count - len(shown)} more not shown")
-    return CommandOutcome(
-        {"n": args.n, "a": args.a, "b": args.b}, result, "\n".join(lines)
-    )
+    return lines
 
 
-def cmd_render(args: argparse.Namespace) -> CommandOutcome:
+def cmd_render(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if (args.a is None) != (args.b is None):
         raise ValueError("render takes either just n, or n together with both a and b")
     widest = max(args.n, args.b or 0)
     if widest > RENDER_MAX_WIDTH:
         raise ValueError(f"render draws rows of at most {RENDER_MAX_WIDTH} cells, got {widest}")
-    staircase = render.render_staircase(args.n)
     input_echo: dict = {"n": args.n}
-    result: dict = {"staircase": staircase.split("\n")}
-    text = staircase
+    result: dict = {"staircase": render.render_staircase(args.n).split("\n")}
     if args.a is not None:
-        inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
-        partition, _ = solve(inst)
-        rebuilt = render.render_rebuilt(partition)
+        partition, _ = solve(Instance(args.n, ConsecutiveRun(args.a, args.b)))
         input_echo = {"n": args.n, "a": args.a, "b": args.b}
-        result["rebuilt"] = rebuilt.split("\n")
-        text = staircase + "\n\n" + rebuilt
-    return CommandOutcome(input_echo, result, text)
+        result["rebuilt"] = render.render_rebuilt(partition).split("\n")
+    return input_echo, result, 0
+
+
+def text_render(input_echo: dict, result: dict) -> list[str]:
+    if "rebuilt" in result:
+        return [*result["staircase"], "", *result["rebuilt"]]
+    return result["staircase"]
 
 
 def _selftest_checks(max_n: int):
-    """Yield (name, cases, failure-description-or-None) per sweep."""
+    """Yield (name, sweep) per sweep; a sweep returns (cases, failure or None)."""
 
     def sweep_solve() -> tuple[int, str | None]:
         cases = 0
@@ -280,31 +277,31 @@ def _selftest_checks(max_n: int):
     yield "difference-pairs", sweep_pairs
 
 
-def cmd_selftest(args: argparse.Namespace) -> CommandOutcome:
+def cmd_selftest(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if not 1 <= args.max_n <= SELFTEST_MAX_N:
         raise ValueError(f"max_n must be in 1..{SELFTEST_MAX_N}, got {args.max_n}")
     checks = []
-    lines = [f"selftest max_n={args.max_n}"]
-    ok = True
     for name, sweep in _selftest_checks(args.max_n):
         cases, failure = sweep()
         entry: dict = {"name": name, "cases": cases, "ok": failure is None}
+        checks.append(entry)
         if failure is not None:
             entry["failure"] = failure
-            ok = False
-            lines.append(f"  {name}: FAIL after {cases} cases: {failure}")
-        else:
-            lines.append(f"  {name}: {cases} cases ok")
-        checks.append(entry)
-        if not ok:
             break
-    lines.append("all checks passed" if ok else "SELFTEST FAILED")
-    return CommandOutcome(
-        {"max_n": args.max_n},
-        {"ok": ok, "checks": checks},
-        "\n".join(lines),
-        0 if ok else 1,
-    )
+    ok = all(entry["ok"] for entry in checks)
+    return {"max_n": args.max_n}, {"ok": ok, "checks": checks}, 0 if ok else 1
+
+
+def text_selftest(input_echo: dict, result: dict) -> list[str]:
+    lines = [f"selftest max_n={input_echo['max_n']}"]
+    for check in result["checks"]:
+        if check["ok"]:
+            lines.append(f"  {check['name']}: {check['cases']} cases ok")
+        else:
+            lines.append(f"  {check['name']}: FAIL after {check['cases']} cases: "
+                         f"{check['failure']}")
+    lines.append("all checks passed" if result["ok"] else "SELFTEST FAILED")
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("runs", parents=[common],
                        help="all consecutive runs summing to N")
     p.add_argument("n", type=int, metavar="N")
-    p.set_defaults(handler=cmd_runs)
+    p.set_defaults(handler=cmd_runs, text=text_runs)
 
     p = sub.add_parser("partition", parents=[common],
                        help="build one partition of {1..n} realizing targets a..b")
@@ -339,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int)
     p.add_argument("--trace", action="store_true",
                    help="show each layer's intermediate state")
-    p.set_defaults(handler=cmd_partition)
+    p.set_defaults(handler=cmd_partition, text=text_partition)
 
     p = sub.add_parser("count", parents=[common],
                        help="exhaustively count all partitions realizing a..b")
@@ -352,19 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
                         f"at most {LIST_MAX_LIMIT})")
     p.add_argument("--force", action="store_true",
                    help="has no effect; kept so existing command lines still parse")
-    p.set_defaults(handler=cmd_count)
+    p.set_defaults(handler=cmd_count, text=text_count)
 
     p = sub.add_parser("render", parents=[common],
                        help="draw the staircase tableau (and the rebuilt one for a..b)")
     p.add_argument("n", type=int)
     p.add_argument("a", type=int, nargs="?", default=None)
     p.add_argument("b", type=int, nargs="?", default=None)
-    p.set_defaults(handler=cmd_render)
+    p.set_defaults(handler=cmd_render, text=text_render)
 
     p = sub.add_parser("selftest", parents=[common],
                        help="run the property sweeps up to max_n")
     p.add_argument("max_n", type=int, help=f"largest n swept, at most {SELFTEST_MAX_N}")
-    p.set_defaults(handler=cmd_selftest)
+    p.set_defaults(handler=cmd_selftest, text=text_selftest)
 
     return parser
 
@@ -374,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        outcome = args.handler(args)
+        input_echo, result, code = args.handler(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -387,16 +384,15 @@ def main(argv: list[str] | None = None) -> int:
         envelope: dict = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
-            "input": outcome.input_echo,
-            "result": outcome.result,
+            "input": input_echo,
+            "result": result,
         }
         if not args.no_timing:
             envelope["timing_ms"] = round(elapsed_ms, 3)
         print(to_json(envelope))
     else:
-        print(outcome.text)
-    return outcome.code
-
+        print("\n".join(args.text(input_echo, result)))
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -151,6 +151,7 @@ def _list_partitions(
     states = [()] * (n + 1)  # states[e]: the sorted positive deficits before e is placed
     states[n] = targets
     found = [0] * (n + 1)  # found[e]: partitions listed when the search entered states[e]
+    steps: list[dict] = [{}] * (n + 1)  # steps[e]: deficit -> next state, for states[e]
     dead: set[tuple[int, ...]] = set()
     out: list[tuple[tuple[int, ...], ...]] = []
     e, ti = n, 0
@@ -161,9 +162,10 @@ def _list_partitions(
                 blocks[owner[x]].append(x)
             out.append(tuple(tuple(blk) for blk in blocks))
         else:
-            step = {d: nxt for d, _, nxt in _moves(states[e], e)}
+            if ti == 0:  # the search has just entered states[e]
+                steps[e] = {d: nxt for d, _, nxt in _moves(states[e], e)}
             while ti < s:
-                nxt = step.get(deficits[ti])
+                nxt = steps[e].get(deficits[ti])
                 if nxt is not None and nxt not in dead:
                     break
                 ti += 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircase_sums import cli
+from staircase_sums import cli, oracle
 from staircase_sums.cli import (
     COUNT_MAX_N,
     LIST_MAX_LIMIT,
@@ -18,6 +18,7 @@ from staircase_sums.cli import (
     RENDER_MAX_WIDTH,
     SELFTEST_MAX_N,
 )
+from staircase_sums.construct import Partition
 
 GOLDEN_COMMANDS = {
     "runs_15.json": ["runs", 15],
@@ -36,6 +37,13 @@ GOLDEN_COMMANDS = {
     "render_5_7_8.json": ["render", 5, 7, 8],
     "selftest_12.json": ["selftest", 12],
 }
+# the text reply of each golden command, plus a long trace and a larger selftest
+GOLDEN_TEXT_COMMANDS = {
+    **{name.replace(".json", ".txt"): args for name, args in GOLDEN_COMMANDS.items()},
+    # a stretch of plain layers and a closing layer
+    "partition_300_45150_45150_trace.txt": ["partition", 300, 45150, 45150, "--trace"],
+    "selftest_30.txt": ["selftest", 30],
+}
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +60,13 @@ def test_golden_envelopes(run_cli, golden_dir, envelope_schema, golden_name):
     expected = (golden_dir / golden_name).read_text()
     assert result.stdout == expected
     jsonschema.validate(json.loads(result.stdout), envelope_schema)
+
+
+@pytest.mark.parametrize("golden_name", sorted(GOLDEN_TEXT_COMMANDS))
+def test_golden_text(run_cli, golden_dir, golden_name):
+    result = run_cli(*GOLDEN_TEXT_COMMANDS[golden_name])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (golden_dir / golden_name).read_text()
 
 
 def test_repeated_runs_are_byte_identical(run_cli):
@@ -178,6 +193,49 @@ def test_selftest_passes(run_cli):
     result = run_cli("selftest", 25)
     assert result.returncode == 0
     assert "all checks passed" in result.stdout
+
+
+def test_partition_that_fails_verify_exits_1(monkeypatch, capsys, envelope_schema):
+    solve = cli.solve
+
+    def drops_an_element(inst, want_trace=False):
+        partition, traces = solve(inst, want_trace)
+        blocks = dict(partition.blocks)
+        blocks[15] = blocks[15][1:]
+        return Partition(partition.n, partition.run, blocks), traces
+
+    monkeypatch.setattr(cli, "solve", drops_an_element)
+    args = ["partition", "14", "15", "20"]
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("verified: FAILED\n")
+    assert err.startswith("internal defect: verify found")
+    assert cli.main([*args, "--json"]) == 1
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    jsonschema.validate(payload, envelope_schema)
+    assert payload["result"]["verified"] is False
+    assert err.startswith("internal defect: verify found")
+
+
+def test_selftest_that_fails_a_sweep_exits_1(monkeypatch, capsys, envelope_schema):
+    verify = oracle.verify
+
+    def fails_at_n_3(n, run, partition):
+        report = verify(n, run, partition)
+        return oracle.VerifyReport(False, (("planted", n),)) if n == 3 else report
+
+    monkeypatch.setattr(cli.oracle, "verify", fails_at_n_3)
+    assert cli.main(["selftest", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "  solve-verify: FAIL after 3 cases: verify failed at n=3" in out
+    assert out.endswith("SELFTEST FAILED\n")
+    assert cli.main(["selftest", "5", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, envelope_schema)
+    [check] = payload["result"]["checks"]
+    assert check["ok"] is False and check["failure"].startswith("verify failed at n=3")
+    assert payload["result"]["ok"] is False
 
 
 _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€\U0001f600') | st.characters())
