@@ -7,23 +7,27 @@ field so output bytes are reproducible).
 
 Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
 ``input`` and ``result`` dicts and the exit code, and, only without
-``--json``, ``text_<command>(input_echo, result)`` prints the text lines from
-those same dicts, so text and JSON cannot disagree.
+``--json``, ``text_<command>(input_echo, result)`` gives the text lines from
+those same dicts, so text and JSON cannot disagree.  A trace is written from
+the solver's per-layer int records (``construct._solve``, bound here as
+``solve``), not from LayerTrace objects.  Once the handler and its checks are
+done, the reply goes to stdout piece by piece as it is formatted.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
-failed), 2 user error.
+failed), 2 user error, 141 the reader closed stdout before the reply ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
 
 from . import oracle, render
-from .construct import LayerTrace, Partition, difference_pairs, solve
+from .construct import Partition, _kind, _solve as solve, difference_pairs
 from .runs import (
     ConsecutiveRun,
     Instance,
@@ -43,89 +47,98 @@ SELFTEST_MAX_N = 1000
 LIST_MAX_LIMIT = 10_000  # largest --limit that count --list accepts
 
 
-def to_json(value, pad: str = "\n") -> str:
-    """``value`` as JSON indented by two spaces, byte for byte as the stdlib
-    ``json.dumps`` writes it with that indent, for what an envelope holds.
+def to_json(value, write, pad: str = "\n") -> None:
+    """Write ``value`` as JSON indented by two spaces, byte for byte as the
+    stdlib ``json.dumps`` writes it with that indent, for what an envelope holds.
 
-    ``pad`` is a newline plus the indentation of the line ``value`` starts on.
-    The stdlib drops to its pure-Python encoder whenever an indent is set;
-    this writer makes one call per container and joins a flat list of ints in
-    C.  Like the stdlib, it raises TypeError on any other type; it also
+    ``write`` takes the pieces in order; ``pad`` is a newline plus the
+    indentation of the line ``value`` starts on.  The stdlib drops to its
+    pure-Python encoder whenever an indent is set; this writer makes one call
+    per container and joins a flat list of ints in C.  A :class:`Partition` is
+    written as its blocks object and a :class:`_Trace` as the list of its
+    layers.  Like the stdlib, it raises TypeError on any other type; it also
     raises it on a key that is not a str, and ValueError on NaN or infinity.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
+        text = encode_basestring_ascii(value)
+    elif value is None or value is True or value is False:
+        text = "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        text = int.__repr__(value)
+    elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
+        text = float.__repr__(value)
+    elif not isinstance(value, (list, tuple, dict, Partition)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        text = "{}" if isinstance(value, dict) else "[]"
+    elif isinstance(value, Partition):
+        i1, i2 = pad + "  ", pad + "    "
+        text = "{" + ",".join(
+            f'{i1}"{t}": [{i2}' + ("," + i2).join(map(int.__repr__, block)) + i1 + "]"
+            for t, block in sorted(value.blocks.items())) + pad + "}"
+    elif isinstance(value, (list, tuple)) and set(map(type, value)) == {int}:
+        text = "[" + pad + "  " + ("," + pad + "  ").join(map(int.__repr__, value)) + pad + "]"
+    else:
+        inner = pad + "  "
+        head = ("{" if isinstance(value, dict) else "[") + inner
+        if isinstance(value, _Trace):
+            for layer in value.json(inner):
+                write(head + layer)
+                head = "," + inner
         else:
-            items = [to_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # the escaper itself raises TypeError on a key that is not a str
-        items = [encode_basestring_ascii(key) + ": " + to_json(item, inner)
-                 for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            # the escaper itself raises TypeError on a key that is not a str
+            items = ((encode_basestring_ascii(key) + ": ", item) for key, item in value.items()) \
+                if isinstance(value, dict) else (("", item) for item in value)
+            for key, item in items:
+                write(head + key)
+                to_json(item, write, inner)
+                head = "," + inner
+        text = pad + ("}" if isinstance(value, dict) else "]")
+    write(text)
 
 
-def _blocks_json(partition: Partition) -> dict[str, list[int]]:
-    return {str(t): list(partition.blocks[t]) for t in sorted(partition.blocks)}
+def _blocks_text(partition: Partition) -> list[str]:
+    return [f"U_{t} = {{{', '.join(map(str, block))}}}"
+            for t, block in sorted(partition.blocks.items())]
 
 
-def _blocks_text(blocks: dict[str, list[int]]) -> list[str]:
-    return [f"U_{t} = {{{', '.join(map(str, block))}}}" for t, block in blocks.items()]
+class _Trace(list):
+    """The solver's layer records ``(n, a, b, c, m, low, pairs)``, which
+    :func:`to_json` writes as JSON and ``text_partition`` as text."""
 
+    def json(self, pad: str):
+        """The JSON object of each layer, starting on a line indented by ``pad``."""
+        i1, i2, i3, i4 = (pad + "  " * k for k in range(1, 5))
+        pair = f'{{{i3}"target": %d,{i3}"pair": [{i4}%d,{i4}%d{i3}],{i3}"kind": "%s"{i2}}}'
+        for n, a, b, c, m, low, pairs in self:
+            s = b - a + 1
+            deficits = ("," + i2).join(map(int.__repr__, range(c - a, c - b - 1, -1)))
+            assignments = ("," + i2).join(
+                pair % (t, lo, hi, _kind(t, c, m)) for t, (lo, hi) in zip(range(a, b + 1), pairs))
+            yield (
+                f'{{{i1}"n": {n},{i1}"run": {{{i2}"a": {a},{i2}"b": {b}{i1}}},{i1}"s": {s},'
+                f'{i1}"c": {c},{i1}"p_range": [{i2}{n - 2 * s + 1},{i2}{n - s}{i1}],'
+                f'{i1}"q_range": [{i2}{n - s + 1},{i2}{n}{i1}],'
+                f'{i1}"deficits": [{i2}{deficits}{i1}],{i1}"m": {m},'
+                f'{i1}"l": {"null" if low is None else low},'
+                f'{i1}"assignments": [{i2}{assignments}{i1}]{pad}}}'
+            )
 
-def _trace_json(traces: list[LayerTrace]) -> list[dict]:
-    return [
-        {
-            "n": tr.n,
-            "run": {"a": tr.run.a, "b": tr.run.b},
-            "s": tr.s,
-            "c": tr.c,
-            "p_range": list(tr.p_range),
-            "q_range": list(tr.q_range),
-            "deficits": tr.deficits(),
-            "m": tr.m,
-            "l": tr.low,
-            "assignments": [
-                {"target": asg.target, "pair": list(asg.pair), "kind": asg.kind}
-                for asg in tr.assignments
-            ],
-        }
-        for tr in traces
-    ]
-
-
-def _trace_text(trace: list[dict]) -> list[str]:
-    lines = []
-    for idx, tr in enumerate(trace, start=1):
-        run, p, q = tr["run"], tr["p_range"], tr["q_range"]
-        deficits = ",".join(map(str, tr["deficits"]))
-        window = f" l={tr['l']}" if tr["l"] is not None else ""
-        lines.append(
-            f"layer {idx}: n={tr['n']} run=[{run['a']}..{run['b']}] s={tr['s']} c={tr['c']} "
-            f"P=[{p[0]}..{p[1]}] Q=[{q[0]}..{q[1]}] "
-            f"deficits=[{deficits}] m={tr['m']}{window}"
-        )
-        for asg in tr["assignments"]:
-            lo, hi = asg["pair"]
-            lines.append(f"  target {asg['target']} <- ({lo}, {hi})  [{asg['kind']}]")
-    return lines
+    def text(self):
+        """The text of each layer: its state line, then one line per pair."""
+        for idx, (n, a, b, c, m, low, pairs) in enumerate(self, start=1):
+            s = b - a + 1
+            deficits = ",".join(map(str, range(c - a, c - b - 1, -1)))
+            yield (
+                f"layer {idx}: n={n} run=[{a}..{b}] s={s} c={c} P=[{n - 2 * s + 1}..{n - s}] "
+                f"Q=[{n - s + 1}..{n}] deficits=[{deficits}] m={m}"
+                f"{'' if low is None else f' l={low}'}"
+            ) + "".join(
+                f"\n  target {t} <- ({lo}, {hi})  [{_kind(t, c, m)}]"
+                for t, (lo, hi) in zip(range(a, b + 1), pairs)
+            )
 
 
 def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict, int]:
@@ -138,35 +151,33 @@ def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict, int]:
     return {"n": args.n}, result, 0
 
 
-def text_runs(input_echo: dict, result: dict) -> list[str]:
+def text_runs(input_echo: dict, result: dict):
     value = input_echo["n"]
-    lines = [f"{value} has {len(result['runs'])} consecutive-run representations "
-             f"(odd divisors: {result['odd_divisor_count']})"]
-    lines.extend(f"  {value} = [{r['a']}..{r['b']}]" for r in result["runs"])
-    return lines
+    yield (f"{value} has {len(result['runs'])} consecutive-run representations "
+           f"(odd divisors: {result['odd_divisor_count']})")
+    yield from (f"  {value} = [{r['a']}..{r['b']}]" for r in result["runs"])
 
 
 def cmd_partition(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if args.n > PARTITION_MAX_N:
         raise ValueError(f"partition accepts n <= {PARTITION_MAX_N}, got n={args.n}")
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
-    partition, traces = solve(inst, want_trace=args.trace)
+    partition, records = solve(inst, args.trace)
     report = oracle.verify(inst.n, inst.run, partition)
-    result: dict = {"blocks": _blocks_json(partition), "verified": report.ok}
+    result: dict = {"blocks": partition, "verified": report.ok}
     if args.trace:
-        result["trace"] = _trace_json(traces)
+        result["trace"] = _Trace(records)
     if not report.ok:
         # cannot happen unless the solver is defective
         print(f"internal defect: verify found {report.violations}", file=sys.stderr)
     return {"n": args.n, "a": args.a, "b": args.b}, result, 0 if report.ok else 1
 
 
-def text_partition(input_echo: dict, result: dict) -> list[str]:
-    lines = _trace_text(result["trace"]) if "trace" in result else []
-    lines.append(f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]")
-    lines.extend(_blocks_text(result["blocks"]))
-    lines.append("verified: ok" if result["verified"] else "verified: FAILED")
-    return lines
+def text_partition(input_echo: dict, result: dict):
+    yield from result.get("trace", _Trace()).text()
+    yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]"
+    yield from _blocks_text(result["blocks"])
+    yield "verified: ok" if result["verified"] else "verified: FAILED"
 
 
 def cmd_count(args: argparse.Namespace) -> tuple[dict, dict, int]:
@@ -181,22 +192,21 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, dict, int]:
     )
     result: dict = {"count": count}
     if args.list:
-        result["partitions"] = [_blocks_json(p) for p in partitions]
+        result["partitions"] = partitions
         result["truncated"] = count > len(partitions)
     return {"n": args.n, "a": args.a, "b": args.b}, result, 0
 
 
-def text_count(input_echo: dict, result: dict) -> list[str]:
+def text_count(input_echo: dict, result: dict):
     count = result["count"]
-    lines = [f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]",
-             f"count = {count}"]
+    yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]"
+    yield f"count = {count}"
     if "partitions" in result:
         shown = result["partitions"]
-        for idx, blocks in enumerate(shown, start=1):
-            lines.append(f"#{idx}: " + "; ".join(_blocks_text(blocks)))
+        for idx, partition in enumerate(shown, start=1):
+            yield f"#{idx}: " + "; ".join(_blocks_text(partition))
         if result["truncated"]:
-            lines.append(f"... {count - len(shown)} more not shown")
-    return lines
+            yield f"... {count - len(shown)} more not shown"
 
 
 def cmd_render(args: argparse.Namespace) -> tuple[dict, dict, int]:
@@ -214,10 +224,10 @@ def cmd_render(args: argparse.Namespace) -> tuple[dict, dict, int]:
     return input_echo, result, 0
 
 
-def text_render(input_echo: dict, result: dict) -> list[str]:
+def text_render(input_echo: dict, result: dict):
+    yield from result["staircase"]
     if "rebuilt" in result:
-        return [*result["staircase"], "", *result["rebuilt"]]
-    return result["staircase"]
+        yield from ["", *result["rebuilt"]]
 
 
 def _selftest_checks(max_n: int):
@@ -292,16 +302,14 @@ def cmd_selftest(args: argparse.Namespace) -> tuple[dict, dict, int]:
     return {"max_n": args.max_n}, {"ok": ok, "checks": checks}, 0 if ok else 1
 
 
-def text_selftest(input_echo: dict, result: dict) -> list[str]:
-    lines = [f"selftest max_n={input_echo['max_n']}"]
+def text_selftest(input_echo: dict, result: dict):
+    yield f"selftest max_n={input_echo['max_n']}"
     for check in result["checks"]:
         if check["ok"]:
-            lines.append(f"  {check['name']}: {check['cases']} cases ok")
+            yield f"  {check['name']}: {check['cases']} cases ok"
         else:
-            lines.append(f"  {check['name']}: FAIL after {check['cases']} cases: "
-                         f"{check['failure']}")
-    lines.append("all checks passed" if result["ok"] else "SELFTEST FAILED")
-    return lines
+            yield f"  {check['name']}: FAIL after {check['cases']} cases: {check['failure']}"
+    yield "all checks passed" if result["ok"] else "SELFTEST FAILED"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,18 +388,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    if args.json:
-        envelope: dict = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "input": input_echo,
-            "result": result,
-        }
-        if not args.no_timing:
-            envelope["timing_ms"] = round(elapsed_ms, 3)
-        print(to_json(envelope))
-    else:
-        print("\n".join(args.text(input_echo, result)))
+    if sys.stdout is None:  # started with stdout closed: there is nowhere to write
+        return code
+    try:
+        if args.json:
+            envelope: dict = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                              "input": input_echo, "result": result}
+            if not args.no_timing:
+                envelope["timing_ms"] = round(elapsed_ms, 3)
+            to_json(envelope, sys.stdout.write)
+            sys.stdout.write("\n")
+        else:
+            sys.stdout.writelines(line + "\n" for line in args.text(input_echo, result))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the rest, and the flush at exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 if __name__ == "__main__":

@@ -28,9 +28,9 @@ the two arithmetic progressions n-s-i, n-3s-i, ... and n-s+1+i, n-s+1+i-2s,
 ... of k terms each.  :func:`solve` works on plain ints and takes one step
 per peel, per stretch, and per remaining layer (a windowed layer, or the
 plain layer with a = c that closes the first target); those single steps
-share their code with the public :func:`peel` and :func:`layer`.  Per-layer
-:class:`LayerTrace` objects are built only when a trace is asked for, by
-expanding each stretch into its layers.
+share their code with the public :func:`peel` and :func:`layer`.  A trace,
+one record of ints per layer, is built only when asked for, by expanding each
+stretch into its layers; :func:`solve` makes a :class:`LayerTrace` of each.
 """
 
 from __future__ import annotations
@@ -266,11 +266,17 @@ def solve(
     With ``want_trace`` the per-layer intermediate states are returned as well
     (peels contribute no trace).
     """
+    partition, records = _solve(inst, want_trace)
+    return partition, (None if records is None else [_layer_trace(*r) for r in records])
+
+
+def _solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, list[tuple] | None]:
+    """:func:`solve`, tracing each layer as the arguments of :func:`_layer_trace`."""
     n, a, b = inst.n, inst.run.a, inst.run.b
     blocks: dict[int, list[int]] = {t: [] for t in range(a, b + 1)}
     # targets[i] is the original target that still needs amount a + i
     targets = list(blocks)
-    traces: list[LayerTrace] = []
+    records: list[tuple] = []  # (n, a, b, c, m, low, pairs) per traced layer
 
     while targets:
         s = len(targets)
@@ -299,7 +305,7 @@ def solve(
                 for j in range(k):
                     nj, aj, cj = n - step * j, _stretch_start(a, c, s, j), c - 2 * step * j
                     pairs = [(block[x + j], block[x + k + j]) for block, x in placed]
-                    traces.append(_layer_trace(nj, aj, aj + s - 1, cj, 0, None, pairs))
+                    records.append((nj, aj, aj + s - 1, cj, 0, None, pairs))
             # The pending sum minus 1 + ... + n is a quadratic in the layer
             # index j, zero at j = 0 (checked above); checking it at j = k-1
             # here and at j = k on the next round makes it zero at every
@@ -311,7 +317,7 @@ def solve(
         else:
             c, m, low, pairs, reduced = _layer_step(n, a, b)
             if want_trace:
-                traces.append(_layer_trace(n, a, b, c, m, low, pairs))
+                records.append((n, a, b, c, m, low, pairs))
             for target, pair in zip(targets, pairs):
                 blocks[target].extend(pair)
             n, a, b = reduced
@@ -319,9 +325,5 @@ def solve(
         targets = targets[s - (b - a + 1):]
 
     assert n == 0, "elements left over with no targets pending"
-    partition = Partition(
-        n=inst.n,
-        run=inst.run,
-        blocks={t: tuple(sorted(block)) for t, block in blocks.items()},
-    )
-    return partition, (traces if want_trace else None)
+    partition = Partition(inst.n, inst.run, {t: tuple(sorted(b)) for t, b in blocks.items()})
+    return partition, (records if want_trace else None)

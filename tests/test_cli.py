@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from staircase_sums import cli, oracle
+from staircase_sums import cli, construct, oracle
 from staircase_sums.cli import (
     COUNT_MAX_N,
     LIST_MAX_LIMIT,
@@ -18,7 +21,8 @@ from staircase_sums.cli import (
     RENDER_MAX_WIDTH,
     SELFTEST_MAX_N,
 )
-from staircase_sums.construct import Partition
+from staircase_sums.construct import LayerTrace, Partition
+from staircase_sums.runs import Instance, enumerate_runs, triangular
 
 GOLDEN_COMMANDS = {
     "runs_15.json": ["runs", 15],
@@ -26,7 +30,11 @@ GOLDEN_COMMANDS = {
     "runs_8.json": ["runs", 8],
     "partition_14_15_20.json": ["partition", 14, 15, 20],
     "partition_14_15_20_trace.json": ["partition", 14, 15, 20, "--trace"],
+    # a stretch of plain layers and a closing layer
+    "partition_300_45150_45150_trace.json": ["partition", 300, 45150, 45150, "--trace"],
     "partition_5_1_5.json": ["partition", 5, 1, 5],
+    # a peel-only run: its trace is empty
+    "partition_5_1_5_trace.json": ["partition", 5, 1, 5, "--trace"],
     "partition_5_7_8.json": ["partition", 5, 7, 8],
     "count_5_7_8.json": ["count", 5, 7, 8],
     "count_2_3_3.json": ["count", 2, 3, 3],
@@ -37,11 +45,9 @@ GOLDEN_COMMANDS = {
     "render_5_7_8.json": ["render", 5, 7, 8],
     "selftest_12.json": ["selftest", 12],
 }
-# the text reply of each golden command, plus a long trace and a larger selftest
+# the text reply of each golden command, plus a larger selftest
 GOLDEN_TEXT_COMMANDS = {
     **{name.replace(".json", ".txt"): args for name, args in GOLDEN_COMMANDS.items()},
-    # a stretch of plain layers and a closing layer
-    "partition_300_45150_45150_trace.txt": ["partition", 300, 45150, 45150, "--trace"],
     "selftest_30.txt": ["selftest", 30],
 }
 
@@ -249,18 +255,116 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _written(value) -> str:
+    """The JSON ``cli.to_json`` writes for ``value``, its pieces joined."""
+    pieces: list[str] = []
+    cli.to_json(value, pieces.append)
+    return "".join(pieces)
+
+
 @settings(max_examples=150)
 @given(_JSON_VALUES)
 def test_json_writer_matches_stdlib_indent_2(value):
-    assert cli.to_json(value) == json.dumps(value, indent=2)
+    assert _written(value) == json.dumps(value, indent=2)
 
 
 def test_json_writer_refuses_what_json_cannot_hold():
     for value in ({1, 2}, [b"bytes"], {"key": object()}, {1: "int key"}):
         with pytest.raises(TypeError):
-            cli.to_json(value)
+            _written(value)
     with pytest.raises(ValueError):
-        cli.to_json([float("nan")])
+        _written([float("nan")])
+
+
+# Reference trace writers, which go through LayerTrace objects and dicts;
+# cli._Trace writes the same bytes straight from the solver's layer records.
+def _trace_json(traces: list[LayerTrace]) -> list[dict]:
+    return [
+        {
+            "n": tr.n,
+            "run": {"a": tr.run.a, "b": tr.run.b},
+            "s": tr.s,
+            "c": tr.c,
+            "p_range": list(tr.p_range),
+            "q_range": list(tr.q_range),
+            "deficits": tr.deficits(),
+            "m": tr.m,
+            "l": tr.low,
+            "assignments": [
+                {"target": asg.target, "pair": list(asg.pair), "kind": asg.kind}
+                for asg in tr.assignments
+            ],
+        }
+        for tr in traces
+    ]
+
+
+def _trace_text(trace: list[dict]) -> list[str]:
+    lines = []
+    for idx, tr in enumerate(trace, start=1):
+        run, p, q = tr["run"], tr["p_range"], tr["q_range"]
+        deficits = ",".join(map(str, tr["deficits"]))
+        window = f" l={tr['l']}" if tr["l"] is not None else ""
+        lines.append(
+            f"layer {idx}: n={tr['n']} run=[{run['a']}..{run['b']}] s={tr['s']} c={tr['c']} "
+            f"P=[{p[0]}..{p[1]}] Q=[{q[0]}..{q[1]}] "
+            f"deficits=[{deficits}] m={tr['m']}{window}"
+        )
+        for asg in tr["assignments"]:
+            lo, hi = asg["pair"]
+            lines.append(f"  target {asg['target']} <- ({lo}, {hi})  [{asg['kind']}]")
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2000), st.integers(0, 10**6))
+@example(14, 2)  # [15..20]: a windowed layer
+@example(5, 0)  # [1..5]: a peel and no layer
+@example(300, 5)  # [45150..45150]: a stretch and a closing layer
+def test_layer_record_writers_match_the_trace_writers(n, pick):
+    runs = enumerate_runs(triangular(n))
+    inst = Instance(n, runs[pick % len(runs)])
+    traces = construct.solve(inst, want_trace=True)[1]
+    records = construct._solve(inst, want_trace=True)[1]
+    reference = _trace_json(traces)
+    assert _written(cli._Trace(records)) == json.dumps(reference, indent=2)
+    assert "\n".join(cli._Trace(records).text()) == "\n".join(_trace_text(reference))
+
+
+def test_closed_pipe_exits_141_without_traceback(spawn_cli):
+    # about 800 kB of text, well past the pipe's buffer, so a write meets the
+    # closed pipe
+    child = spawn_cli("partition", 10000, 50005000, 50005000, "--trace")
+    assert child.stdout.readline().startswith(b"layer 1: n=10000 ")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 141
+    assert b"Traceback" not in err
+    assert err == b""
+
+
+def test_closed_stdout_is_not_an_error():
+    # started with stdout closed, Python sets sys.stdout to None
+    result = subprocess.run(
+        [sys.executable, "-m", "staircase_sums", "partition", "14", "15", "20", "--trace"],
+        stderr=subprocess.PIPE, text=True, timeout=120, preexec_fn=lambda: os.close(1),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["partition", 100000, 5000050000, 5000050000, "--trace"],
+        ["count", 178, 7965, 7966, "--list", "--limit", LIST_MAX_LIMIT],
+    ],
+)
+def test_long_replies_are_streamed(run_cli, args):
+    # Each reply is far larger than this address space once held whole (30 MB
+    # and 26 MB of JSON); written as it is formatted, it fits.
+    result = run_cli(*args, "--json", "--no-timing", address_space=96 * 2**20)
+    assert result.returncode == 0, result.stderr[-500:]
+    assert result.stdout.endswith("\n}\n")
 
 
 @pytest.mark.parametrize(
