@@ -20,6 +20,7 @@ failed), 2 user error, 141 the reader closed stdout before the reply ended.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -312,7 +313,9 @@ def text_selftest(input_echo: dict, result: dict):
     yield "all checks passed" if result["ok"] else "SELFTEST FAILED"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit a JSON envelope instead of text"
@@ -375,8 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0), already printed
+        return exc.code
     started = time.perf_counter()
     try:
         input_echo, result, code = args.handler(args)

@@ -35,9 +35,7 @@ stretch into its layers; :func:`solve` makes a :class:`LayerTrace` of each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .runs import ConsecutiveRun, Instance
+from .runs import ConsecutiveRun, Instance, _Value
 
 MIRROR_LOW = "mirror-low"
 MIRROR_HIGH = "mirror-high"
@@ -45,10 +43,10 @@ EXACT = "exact"
 OPEN = "open"
 
 
-@dataclass(frozen=True)
-class DifferencePairs:
+class DifferencePairs(_Value):
     """m disjoint pairs (x_i, x_i') with x_i' - x_i = i, packed into [low .. 2m+low]."""
 
+    __slots__ = ("m", "low", "pairs")
     m: int
     low: int
     pairs: tuple[tuple[int, int], ...]
@@ -78,19 +76,19 @@ def difference_pairs(m: int, low: int) -> DifferencePairs:
     return DifferencePairs(m=m, low=low, pairs=tuple(pairs))
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Value):
     """One pair consumed by a layer: target value, its two elements, and how it was used."""
 
+    __slots__ = ("target", "pair", "kind")
     target: int
     pair: tuple[int, int]
     kind: str  # MIRROR_LOW | MIRROR_HIGH | EXACT | OPEN
 
 
-@dataclass(frozen=True)
-class LayerTrace:
+class LayerTrace(_Value):
     """Intermediate state of one layer step, kept for explainability and tests."""
 
+    __slots__ = ("n", "run", "s", "c", "p_range", "q_range", "m", "low", "assignments")
     n: int
     run: ConsecutiveRun
     s: int
@@ -106,14 +104,14 @@ class LayerTrace:
         return [self.c - t for t in self.run.values()]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """Blocks keyed by target value; each block is an ascending element tuple.
 
     Plain container: validity is checked by the independent verifier, not on
     construction.
     """
 
+    __slots__ = ("n", "run", "blocks")
     n: int
     run: ConsecutiveRun
     blocks: dict[int, tuple[int, ...]]

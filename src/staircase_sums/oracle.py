@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .construct import Partition
-from .runs import ConsecutiveRun, Instance
+from .runs import ConsecutiveRun, Instance, _Value
 
 # Most deficit entries the census builds (the lengths of all the next states
 # of its moves, added up); a larger census is refused.  The README gives the
@@ -28,10 +27,10 @@ WRONG_SUM = "wrong-sum"
 WRONG_TARGET_SET = "wrong-target-set"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Value):
     """Outcome of a partition check; ok iff there are no violations."""
 
+    __slots__ = ("ok", "violations")
     ok: bool
     violations: tuple[tuple, ...]
 

@@ -8,14 +8,14 @@ the two renderings of the same n use the same multiset of cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .construct import Partition
+from .runs import _Value
 
-@dataclass(frozen=True)
-class TableauLayout:
+
+class TableauLayout(_Value):
     """Rows top-to-bottom, each as (row length, cell labels left-to-right)."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, tuple[int, ...]], ...]
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from functools import total_ordering
 
 INT64_MAX = 2**63 - 1
 
@@ -45,18 +45,71 @@ def is_triangular(value: int) -> int | None:
     return n if n * (n + 1) // 2 == value else None
 
 
-@dataclass(frozen=True, order=True)
-class ConsecutiveRun:
+class _Value:
+    """Base of the package's value classes, whose instances are immutable.
+
+    The fields are the names in ``__slots__``, in order.  ``__init__`` takes
+    them by position or by name and then calls ``__post_init__``; equality,
+    hashing, ``repr`` and pickling go by the fields, as for a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs:  # the fields after those given by position, in order
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; raises ValueError where a subclass has an invariant."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class ConsecutiveRun(_Value):
     """Inclusive interval [a..b] of positive integers, read as the sum a + ... + b."""
 
+    __slots__ = ("a", "b")
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.a <= self.b:
-            raise ValueError(f"need 1 <= a <= b, got a={self.a}, b={self.b}")
-        _checked(self.b, "run endpoint")
-        _checked((self.a + self.b) * (self.b - self.a + 1) // 2, "run sum")
+    def __init__(self, a: int, b: int) -> None:
+        # written out rather than inherited: a run is built per odd divisor
+        if not 1 <= a <= b:
+            raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
+        _checked(b, "run endpoint")
+        _checked((a + b) * (b - a + 1) // 2, "run sum")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __lt__(self, other: object) -> bool:
+        return self._fields() < other._fields() if type(other) is type(self) else NotImplemented
 
     def length(self) -> int:
         return self.b - self.a + 1
@@ -71,14 +124,14 @@ class ConsecutiveRun:
         return f"[{self.a}..{self.b}]"
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Value):
     """A prefix length n together with a run whose sum equals triangular(n).
 
     Construction fails unless 1 + ... + n == a + ... + b, so holding an
     Instance is proof the equality holds.
     """
 
+    __slots__ = ("n", "run")
     n: int
     run: ConsecutiveRun
 

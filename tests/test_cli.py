@@ -195,6 +195,47 @@ def test_usage_error_exits_2(run_cli):
     assert run_cli("no-such-command").returncode == 2
 
 
+def test_main_returns_the_exit_code_of_usage_errors_and_help(capsys):
+    assert cli.main(["runs"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: staircase-sums runs [-h] [--json] [--no-timing] N\n")
+    assert err.endswith("error: the following arguments are required: N\n")
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: staircase-sums [-h]")
+
+
+def test_shared_parser_leaks_nothing_between_calls(monkeypatch, capsys, run_cli):
+    # help is wrapped to COLUMNS, here and in the children
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["partition", "14", "15", "20", "--trace", "--json", "--no-timing"],
+        ["partition", "14", "15", "20", "--json", "--no-timing"],
+        ["count", "14", "15", "20", "--list", "--limit", "3"],
+        ["count", "14", "15", "20", "--list"],  # the default limit, 20
+        ["partition", "fourteen", "15", "20"],  # refused by the parser
+        ["partition", "5", "7", "9"],  # refused by the handler
+        ["runs", "15", "--json", "--no-timing"],
+        ["--help"],
+        ["partition", "--help"],
+        ["count", "31", "496", "496", "--force"],
+    ]
+    for argv in calls:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        child = run_cli(*argv)
+        assert (code, out, err) == (child.returncode, child.stdout, child.stderr), argv
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, staircase_sums.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 def test_selftest_passes(run_cli):
     result = run_cli("selftest", 25)
     assert result.returncode == 0

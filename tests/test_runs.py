@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from staircase_sums import difference_pairs, solve, staircase_layout, verify
+from staircase_sums.construct import Assignment, DifferencePairs, Partition
 from staircase_sums.runs import (
     INT64_MAX,
     ConsecutiveRun,
@@ -208,6 +212,80 @@ def test_instance_validation():
         Instance(5, ConsecutiveRun(7, 9))
     with pytest.raises(ValueError):
         Instance(0, ConsecutiveRun(1, 1))
+
+
+def _value_objects() -> list:
+    """One object of each value class, as the package builds them."""
+    inst = Instance(5, ConsecutiveRun(7, 8))
+    partition, traces = solve(inst, want_trace=True)
+    wrong = Partition(5, inst.run, {7: (1, 2, 4), 8: (3, 5, 6)})
+    return [ConsecutiveRun(15, 20), inst, partition, *traces, difference_pairs(2, 10),
+            verify(5, inst.run, partition), verify(5, inst.run, wrong), staircase_layout(2)]
+
+
+# the reprs the frozen dataclasses gave these objects
+VALUE_REPRS = [
+    "ConsecutiveRun(a=15, b=20)",
+    "Instance(n=5, run=ConsecutiveRun(a=7, b=8))",
+    "Partition(n=5, run=ConsecutiveRun(a=7, b=8), blocks={7: (3, 4), 8: (1, 2, 5)})",
+    "LayerTrace(n=5, run=ConsecutiveRun(a=7, b=8), s=2, c=7, p_range=(2, 3), "
+    "q_range=(4, 5), m=0, low=None, assignments=(Assignment(target=7, pair=(3, 4), "
+    "kind='exact'), Assignment(target=8, pair=(2, 5), kind='open')))",
+    "DifferencePairs(m=2, low=10, pairs=((10, 11), (12, 14)))",
+    "VerifyReport(ok=True, violations=())",
+    "VerifyReport(ok=False, violations=(('wrong-sum', 8, 14), ('foreign-element', 6)))",
+    "TableauLayout(rows=((1, (1,)), (2, (2, 2))))",
+]
+
+
+def test_value_classes_keep_their_contract():
+    values, again = _value_objects(), _value_objects()
+    assert [repr(v) for v in values] == VALUE_REPRS
+    for value, twin in zip(values, again):
+        assert value == twin and value is not twin
+        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+        if not isinstance(value, Partition):  # its blocks are a dict
+            assert hash(value) == hash(twin)
+        name = repr(value).split("(")[1].split("=")[0]  # its first field
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == getattr(twin, name)
+    assert values[5] != values[6]  # the two verify reports
+    assert ConsecutiveRun(1, 2) != (1, 2)
+    assert DifferencePairs(7, (3, 4), "exact") != Assignment(7, (3, 4), "exact")
+    run = ConsecutiveRun(7, 8)
+    assert Partition(n=5, run=run, blocks={}) == Partition(5, run, {})
+    with pytest.raises(TypeError):
+        Instance(5)
+    with pytest.raises(TypeError):
+        Instance(5, run, n=5)
+
+    runs = [ConsecutiveRun(3, 4), ConsecutiveRun(1, 5), ConsecutiveRun(1, 2), ConsecutiveRun(2, 2)]
+    assert sorted(runs) == [ConsecutiveRun(1, 2), ConsecutiveRun(1, 5), ConsecutiveRun(2, 2),
+                            ConsecutiveRun(3, 4)]
+    assert ConsecutiveRun(1, 2) <= ConsecutiveRun(1, 2) < ConsecutiveRun(1, 3)
+    assert ConsecutiveRun(1, 3) >= ConsecutiveRun(1, 3) > ConsecutiveRun(1, 1)
+    with pytest.raises(TypeError):
+        ConsecutiveRun(1, 2) < (1, 3)
+
+
+def test_instance_checks_run_through_the_class(monkeypatch):
+    # a tracer counts the checks by replacing Instance.__post_init__
+    checked = []
+    check = Instance.__post_init__
+
+    def counted(self):
+        checked.append(self.n)
+        check(self)
+
+    monkeypatch.setattr(Instance, "__post_init__", counted)
+    Instance(14, ConsecutiveRun(15, 20))
+    Instance(n=1, run=ConsecutiveRun(1, 1))
+    with pytest.raises(ValueError):
+        Instance(5, ConsecutiveRun(7, 9))
+    assert checked == [14, 1, 5]
 
 
 @pytest.mark.parametrize(
