@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # json.encoder's C escaper
 
 from . import oracle, render
 from .construct import Partition, _kind, _solve as solve, difference_pairs
@@ -48,6 +48,12 @@ SELFTEST_MAX_N = 1000
 LIST_MAX_LIMIT = 10_000  # largest --limit that count --list accepts
 
 
+def _ints(values, sep: str) -> str:
+    """The ints of ``values`` in decimal with ``sep`` between them, formatted in C."""
+    values = tuple(values)
+    return (("%d" + sep) * len(values) % values)[:-len(sep)]
+
+
 def to_json(value, write, pad: str = "\n") -> None:
     """Write ``value`` as JSON indented by two spaces, byte for byte as the
     stdlib ``json.dumps`` writes it with that indent, for what an envelope holds.
@@ -55,10 +61,11 @@ def to_json(value, write, pad: str = "\n") -> None:
     ``write`` takes the pieces in order; ``pad`` is a newline plus the
     indentation of the line ``value`` starts on.  The stdlib drops to its
     pure-Python encoder whenever an indent is set; this writer makes one call
-    per container and joins a flat list of ints in C.  A :class:`Partition` is
-    written as its blocks object and a :class:`_Trace` as the list of its
-    layers.  Like the stdlib, it raises TypeError on any other type; it also
-    raises it on a key that is not a str, and ValueError on NaN or infinity.
+    per container and formats each flat sequence of ints in C (:func:`_ints`).
+    A :class:`Partition` is written as its blocks object and a :class:`_Trace`
+    as the list of its layers.  Like the stdlib, it raises TypeError on any
+    other type; it also raises it on a key that is not a str, and ValueError
+    on NaN or infinity.
     """
     if isinstance(value, str):
         text = encode_basestring_ascii(value)
@@ -77,10 +84,10 @@ def to_json(value, write, pad: str = "\n") -> None:
     elif isinstance(value, Partition):
         i1, i2 = pad + "  ", pad + "    "
         text = "{" + ",".join(
-            f'{i1}"{t}": [{i2}' + ("," + i2).join(map(int.__repr__, block)) + i1 + "]"
+            f'{i1}"{t}": [{i2}' + _ints(block, "," + i2) + i1 + "]"
             for t, block in sorted(value.blocks.items())) + pad + "}"
     elif isinstance(value, (list, tuple)) and set(map(type, value)) == {int}:
-        text = "[" + pad + "  " + ("," + pad + "  ").join(map(int.__repr__, value)) + pad + "]"
+        text = "[" + pad + "  " + _ints(value, "," + pad + "  ") + pad + "]"
     else:
         inner = pad + "  "
         head = ("{" if isinstance(value, dict) else "[") + inner
@@ -101,7 +108,7 @@ def to_json(value, write, pad: str = "\n") -> None:
 
 
 def _blocks_text(partition: Partition) -> list[str]:
-    return [f"U_{t} = {{{', '.join(map(str, block))}}}"
+    return [f"U_{t} = {{{_ints(block, ', ')}}}"
             for t, block in sorted(partition.blocks.items())]
 
 
@@ -115,7 +122,7 @@ class _Trace(list):
         pair = f'{{{i3}"target": %d,{i3}"pair": [{i4}%d,{i4}%d{i3}],{i3}"kind": "%s"{i2}}}'
         for n, a, b, c, m, low, pairs in self:
             s = b - a + 1
-            deficits = ("," + i2).join(map(int.__repr__, range(c - a, c - b - 1, -1)))
+            deficits = _ints(range(c - a, c - b - 1, -1), "," + i2)
             assignments = ("," + i2).join(
                 pair % (t, lo, hi, _kind(t, c, m)) for t, (lo, hi) in zip(range(a, b + 1), pairs))
             yield (
@@ -131,7 +138,7 @@ class _Trace(list):
         """The text of each layer: its state line, then one line per pair."""
         for idx, (n, a, b, c, m, low, pairs) in enumerate(self, start=1):
             s = b - a + 1
-            deficits = ",".join(map(str, range(c - a, c - b - 1, -1)))
+            deficits = _ints(range(c - a, c - b - 1, -1), ",")
             yield (
                 f"layer {idx}: n={n} run=[{a}..{b}] s={s} c={c} P=[{n - 2 * s + 1}..{n - s}] "
                 f"Q=[{n - s + 1}..{n}] deficits=[{deficits}] m={m}"

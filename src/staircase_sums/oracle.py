@@ -1,14 +1,15 @@
 """Independent checking and exhaustive census of block partitions.
 
 Nothing here shares code with :mod:`staircase_sums.construct`: verification is
-plain set arithmetic and the census is a count over the multisets of deficits
-the targets still need, so either side can catch the other out.
+plain set and sequence arithmetic and the census is a count over the multisets
+of deficits the targets still need, so either side can catch the other out.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
+from itertools import chain
 
 from .construct import Partition
 from .runs import ConsecutiveRun, Instance, _Value
@@ -43,7 +44,7 @@ def verify(n: int, run: ConsecutiveRun, partition: Partition) -> VerifyReport:
 
     * ``(WRONG_TARGET_SET, symmetric difference...)`` -- keys differ from [a..b]
     * ``(WRONG_SUM, target, actual)`` -- a block does not sum to its key
-    * ``(DUPLICATE_ELEMENT, e)`` -- e appears in more than one block
+    * ``(DUPLICATE_ELEMENT, e)`` -- e appears more than once, in one block or in several
     * ``(MISSING_ELEMENT, e)`` -- e in {1..n} appears in no block
     * ``(FOREIGN_ELEMENT, e)`` -- e outside {1..n} appears in some block
     """
@@ -54,24 +55,19 @@ def verify(n: int, run: ConsecutiveRun, partition: Partition) -> VerifyReport:
         diff = tuple(sorted(actual_targets ^ expected_targets))
         violations.append((WRONG_TARGET_SET,) + diff)
 
-    seen: set[int] = set()
-    duplicates: set[int] = set()
     for t in sorted(partition.blocks):
-        block = partition.blocks[t]
-        if sum(block) != t:
-            violations.append((WRONG_SUM, t, sum(block)))
-        for e in block:
-            if e in seen:
-                duplicates.add(e)
-            seen.add(e)
-    for e in sorted(duplicates):
-        violations.append((DUPLICATE_ELEMENT, e))
+        total = sum(partition.blocks[t])
+        if total != t:
+            violations.append((WRONG_SUM, t, total))
 
-    universe = set(range(1, n + 1))
-    for e in sorted(universe - seen):
-        violations.append((MISSING_ELEMENT, e))
-    for e in sorted(seen - universe):
-        violations.append((FOREIGN_ELEMENT, e))
+    # each block is an ascending run, and timsort merges runs
+    elements = sorted(chain.from_iterable(partition.blocks.values()))
+    if elements != list(range(1, n + 1)):
+        seen = set(elements)
+        repeated = {e for e, f in zip(elements, elements[1:]) if e == f}
+        violations += [(DUPLICATE_ELEMENT, e) for e in sorted(repeated)]
+        violations += [(MISSING_ELEMENT, e) for e in range(1, n + 1) if e not in seen]
+        violations += [(FOREIGN_ELEMENT, e) for e in sorted(seen) if not 1 <= e <= n]
 
     return VerifyReport(ok=not violations, violations=tuple(violations))
 

@@ -13,11 +13,15 @@ from functools import total_ordering
 
 INT64_MAX = 2**63 - 1
 
-# odd_divisors trial-divides by the odd primes below _TRIAL_BOUND first
+# odd_divisors trial-divides by the odd primes below _TRIAL_BOUND first; a
+# sieve strikes the odd multiples of each odd prime, one slice at a time
 _TRIAL_BOUND = 1024
-_TRIAL_PRIMES = tuple(
-    p for p in range(3, _TRIAL_BOUND, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))
-)
+_sieve = bytearray([1]) * _TRIAL_BOUND
+for _p in range(3, math.isqrt(_TRIAL_BOUND) + 1, 2):
+    if _sieve[_p]:
+        _sieve[_p * _p::2 * _p] = bytes(len(range(_p * _p, _TRIAL_BOUND, 2 * _p)))
+_TRIAL_PRIMES = tuple(itertools.compress(range(3, _TRIAL_BOUND, 2), _sieve[3::2]))
+del _sieve, _p
 # The strong probable-prime test to these bases is exact below 3.18 * 10**23,
 # which covers every 64-bit value (Sorenson & Webster, Math. Comp. 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

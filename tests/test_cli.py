@@ -22,7 +22,7 @@ from staircase_sums.cli import (
     SELFTEST_MAX_N,
 )
 from staircase_sums.construct import LayerTrace, Partition
-from staircase_sums.runs import Instance, enumerate_runs, triangular
+from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
 
 GOLDEN_COMMANDS = {
     "runs_15.json": ["runs", 15],
@@ -229,8 +229,9 @@ def test_shared_parser_leaks_nothing_between_calls(monkeypatch, capsys, run_cli)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # nor json.decoder: the CLI takes only the string escaper, from _json
     code = ("import sys, staircase_sums.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'json.decoder'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=120)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
@@ -315,6 +316,25 @@ def test_json_writer_refuses_what_json_cannot_hold():
             _written(value)
     with pytest.raises(ValueError):
         _written([float("nan")])
+
+
+# Partitions of several blocks of ints of 1 to 12 digits; no check runs on them
+_PARTITIONS = st.dictionaries(
+    st.integers(1, 10**12 - 1),
+    st.lists(st.integers(-(10**12) + 1, 10**12 - 1), min_size=1, max_size=8).map(tuple),
+    min_size=1,
+    max_size=6,
+).map(lambda blocks: Partition(1, ConsecutiveRun(1, 1), blocks))
+
+
+@settings(max_examples=200)
+@given(_PARTITIONS)
+def test_partition_writers_keep_their_bytes(partition):
+    blocks = sorted(partition.blocks.items())
+    assert _written(partition) == json.dumps({str(t): list(b) for t, b in blocks}, indent=2)
+    assert cli._blocks_text(partition) == [
+        f"U_{t} = {{{', '.join(map(str, block))}}}" for t, block in blocks
+    ]
 
 
 # Reference trace writers, which go through LayerTrace objects and dicts;
@@ -413,6 +433,8 @@ def test_long_replies_are_streamed(run_cli, args):
     [
         ["partition", 10000, 50005000, 50005000, "--trace"],
         ["partition", 14, 15, 20, "--trace"],
+        ["partition", 100000, 5000050000, 5000050000],
+        ["partition", 300, 1273, 1307],
         ["runs", 720720],
         ["count", 14, 15, 20, "--list", "--limit", 30],
         ["render", 5, 7, 8],

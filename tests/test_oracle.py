@@ -159,6 +159,87 @@ def test_verify_mutation_robustness(n, a, b):
             assert not report.ok
 
 
+def _verify_per_element(n, run, partition):
+    """Reference verifier: one set lookup and insert per element, then the
+    findings from set differences with {1..n}."""
+    violations = []
+    expected_targets = set(run.values())
+    actual_targets = set(partition.blocks)
+    if actual_targets != expected_targets:
+        diff = tuple(sorted(actual_targets ^ expected_targets))
+        violations.append((WRONG_TARGET_SET,) + diff)
+
+    seen = set()
+    duplicates = set()
+    for t in sorted(partition.blocks):
+        block = partition.blocks[t]
+        if sum(block) != t:
+            violations.append((WRONG_SUM, t, sum(block)))
+        for e in block:
+            if e in seen:
+                duplicates.add(e)
+            seen.add(e)
+    for e in sorted(duplicates):
+        violations.append((DUPLICATE_ELEMENT, e))
+
+    universe = set(range(1, n + 1))
+    for e in sorted(universe - seen):
+        violations.append((MISSING_ELEMENT, e))
+    for e in sorted(seen - universe):
+        violations.append((FOREIGN_ELEMENT, e))
+
+    return oracle.VerifyReport(ok=not violations, violations=tuple(violations))
+
+
+_MUTATIONS = ("duplicate-in-block", "duplicate-across", "drop", "foreign",
+              "wrong-sum", "missing-key", "extra-key", "empty-block")
+
+
+def _mutate(blocks, kind, n, draw):
+    """Apply one mutation of ``kind`` to ``blocks`` (target -> element list)."""
+    full = sorted(t for t, block in blocks.items() if block)
+    if kind == "extra-key":
+        extra = draw(st.integers(-3, 10**6).filter(lambda t: t not in blocks))
+        blocks[extra] = draw(st.lists(st.integers(-3, n + 3), max_size=3))
+    elif not full:
+        return
+    elif kind == "missing-key":
+        del blocks[draw(st.sampled_from(sorted(blocks)))]
+    elif kind == "empty-block":
+        blocks[draw(st.sampled_from(full))] = []
+    elif kind == "foreign":
+        block = blocks[draw(st.sampled_from(full))]
+        alien = draw(st.sampled_from([0, -1, -n, n + 1, 2 * n]))
+        block.insert(draw(st.integers(0, len(block))), alien)
+    else:
+        # take an element e out of block t; each kind decides where it goes
+        t = draw(st.sampled_from(full))
+        e = blocks[t].pop(draw(st.integers(0, len(blocks[t]) - 1)))
+        others = [u for u in sorted(blocks) if u != t]
+        if kind == "duplicate-in-block":
+            blocks[t] += [e, e]
+        elif kind == "duplicate-across" and others:
+            blocks[t].append(e)
+            blocks[draw(st.sampled_from(others))].append(e)
+        elif kind == "wrong-sum" and others:
+            # e moves to another block: every element is still there once
+            blocks[draw(st.sampled_from(others))].append(e)
+        elif kind != "drop":  # one block only: e goes back
+            blocks[t].append(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 60), st.data())
+def test_verify_matches_the_per_element_reference(n, data):
+    run = data.draw(st.sampled_from(enumerate_runs(triangular(n))))
+    partition, _ = solve(Instance(n, run))
+    blocks = {t: list(block) for t, block in partition.blocks.items()}
+    for kind in data.draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+        _mutate(blocks, kind, n, data.draw)
+    mutated = Partition(n, run, {t: tuple(block) for t, block in blocks.items()})
+    assert verify(n, run, mutated) == _verify_per_element(n, run, mutated)
+
+
 # ---------------------------------------------------------------- census
 
 

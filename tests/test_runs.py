@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from staircase_sums import difference_pairs, solve, staircase_layout, verify
 from staircase_sums.construct import Assignment, DifferencePairs, Partition
 from staircase_sums.runs import (
+    _TRIAL_BOUND,
+    _TRIAL_PRIMES,
     INT64_MAX,
     ConsecutiveRun,
     Instance,
@@ -156,6 +158,11 @@ def test_odd_divisors_of_hard_values(value):
         for exps in itertools.product(*(range(e + 1) for e in factors.values()))
     )
     assert odd_divisors(value) == expected
+
+
+def test_trial_primes_are_the_odd_primes_below_1024():
+    naive = tuple(p for p in range(3, 1024, 2) if all(p % q for q in range(2, p)))
+    assert (_TRIAL_BOUND, _TRIAL_PRIMES) == (1024, naive)
 
 
 def test_odd_divisors_rejects_nonpositive():
