@@ -8,16 +8,7 @@ verifies and exhaustively counts partitions with an independent oracle, and
 renders the corresponding tableaux.
 """
 
-from .construct import (
-    Assignment,
-    DifferencePairs,
-    LayerTrace,
-    Partition,
-    difference_pairs,
-    layer,
-    peel,
-    solve,
-)
+from .construct import Partition, difference_pairs, solve
 from .oracle import (
     VerifyReport,
     count_runs_bruteforce,
@@ -45,11 +36,8 @@ from .runs import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "ConsecutiveRun",
-    "DifferencePairs",
     "Instance",
-    "LayerTrace",
     "Partition",
     "TableauLayout",
     "VerifyReport",
@@ -60,9 +48,7 @@ __all__ = [
     "enumerate_all",
     "enumerate_runs",
     "is_triangular",
-    "layer",
     "odd_divisors",
-    "peel",
     "rebuilt_layout",
     "render_rebuilt",
     "render_staircase",

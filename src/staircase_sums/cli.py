@@ -8,10 +8,10 @@ field so output bytes are reproducible).
 Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
 ``input`` and ``result`` dicts and the exit code, and, only without
 ``--json``, ``text_<command>(input_echo, result)`` gives the text lines from
-those same dicts, so text and JSON cannot disagree.  A trace is written from
-the solver's per-layer int records (``construct._solve``, bound here as
-``solve``), not from LayerTrace objects.  Once the handler and its checks are
-done, the reply goes to stdout piece by piece as it is formatted.
+those same dicts, so text and JSON cannot disagree.  A trace is written
+straight from the per-layer int records that ``construct.solve`` returns.
+Once the handler and its checks are done, the reply goes to stdout piece by
+piece as it is formatted.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
 failed), 2 user error, 141 the reader closed stdout before the reply ended.
@@ -28,7 +28,7 @@ import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
 
 from . import oracle, render
-from .construct import Partition, _kind, _solve as solve, difference_pairs
+from .construct import Partition, _kind, difference_pairs, solve
 from .runs import (
     ConsecutiveRun,
     Instance,
@@ -84,7 +84,7 @@ def to_json(value, write, pad: str = "\n") -> None:
     elif isinstance(value, Partition):
         i1, i2 = pad + "  ", pad + "    "
         text = "{" + ",".join(
-            f'{i1}"{t}": [{i2}' + _ints(block, "," + i2) + i1 + "]"
+            f'{i1}"{t}": ' + (f"[{i2}" + _ints(block, "," + i2) + i1 + "]" if block else "[]")
             for t, block in sorted(value.blocks.items())) + pad + "}"
     elif isinstance(value, (list, tuple)) and set(map(type, value)) == {int}:
         text = "[" + pad + "  " + _ints(value, "," + pad + "  ") + pad + "]"
@@ -277,13 +277,13 @@ def _selftest_checks(max_n: int):
         cases = 0
         for m in range(1, min(max_n, 500) + 1):
             for low in (1, 7, 10**6):
-                dp = difference_pairs(m, low)
-                values = [v for pair in dp.pairs for v in pair]
+                pairs = difference_pairs(m, low)
+                values = [v for pair in pairs for v in pair]
                 ok = (
                     len(set(values)) == 2 * m
                     and min(values) == low
                     and max(values) <= 2 * m + low
-                    and all(hi - lo == i for i, (lo, hi) in enumerate(dp.pairs, 1))
+                    and all(hi - lo == i for i, (lo, hi) in enumerate(pairs, 1))
                 )
                 if not ok:
                     return cases, f"difference pairs broken at m={m}, low={low}"

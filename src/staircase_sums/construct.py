@@ -27,10 +27,9 @@ the sum invariant, a > c holds exactly when n >= 3s, so such layers come in
 the two arithmetic progressions n-s-i, n-3s-i, ... and n-s+1+i, n-s+1+i-2s,
 ... of k terms each.  :func:`solve` works on plain ints and takes one step
 per peel, per stretch, and per remaining layer (a windowed layer, or the
-plain layer with a = c that closes the first target); those single steps
-share their code with the public :func:`peel` and :func:`layer`.  A trace,
-one record of ints per layer, is built only when asked for, by expanding each
-stretch into its layers; :func:`solve` makes a :class:`LayerTrace` of each.
+plain layer with a = c that closes the first target).  A trace, one record
+of ints per layer (documented at :func:`solve`), is built only when asked
+for, by expanding each stretch into its layers.
 """
 
 from __future__ import annotations
@@ -43,16 +42,7 @@ EXACT = "exact"
 OPEN = "open"
 
 
-class DifferencePairs(_Value):
-    """m disjoint pairs (x_i, x_i') with x_i' - x_i = i, packed into [low .. 2m+low]."""
-
-    __slots__ = ("m", "low", "pairs")
-    m: int
-    low: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-def difference_pairs(m: int, low: int) -> DifferencePairs:
+def difference_pairs(m: int, low: int) -> tuple[tuple[int, int], ...]:
     """Build pairs with differences 1..m inside a window of 2m+1 consecutive integers.
 
     Odd-indexed pairs nest outward from (ceil(m/2), ceil(m/2)+1); even-indexed
@@ -73,35 +63,7 @@ def difference_pairs(m: int, low: int) -> DifferencePairs:
             k = (i - 2) // 2
             lo, hi = half_up + m - k, 2 * m + 2 - m // 2 + k
         pairs.append((lo + shift, hi + shift))
-    return DifferencePairs(m=m, low=low, pairs=tuple(pairs))
-
-
-class Assignment(_Value):
-    """One pair consumed by a layer: target value, its two elements, and how it was used."""
-
-    __slots__ = ("target", "pair", "kind")
-    target: int
-    pair: tuple[int, int]
-    kind: str  # MIRROR_LOW | MIRROR_HIGH | EXACT | OPEN
-
-
-class LayerTrace(_Value):
-    """Intermediate state of one layer step, kept for explainability and tests."""
-
-    __slots__ = ("n", "run", "s", "c", "p_range", "q_range", "m", "low", "assignments")
-    n: int
-    run: ConsecutiveRun
-    s: int
-    c: int
-    p_range: tuple[int, int]
-    q_range: tuple[int, int]
-    m: int
-    low: int | None
-    assignments: tuple[Assignment, ...]
-
-    def deficits(self) -> list[int]:
-        """c - t for each target t, in target order."""
-        return [self.c - t for t in self.run.values()]
+    return tuple(pairs)
 
 
 class Partition(_Value):
@@ -122,23 +84,14 @@ class Partition(_Value):
 _State = tuple[int, int, int]
 
 
-def _peel_step(n: int, a: int, b: int) -> tuple[range, _State]:
-    """Int-level peel: the singleton targets [a..n] and the reduced state."""
-    if a > n:
-        raise ValueError(f"peel requires run.a <= n (n={n}, run=[{a}..{b}])")
-    return range(a, n + 1), (a - 1, n + 1, b)
-
-
 def _layer_step(
     n: int, a: int, b: int
 ) -> tuple[int, int, int | None, list[tuple[int, int]], _State]:
-    """Int-level layer: ``(c, m, low, pairs, reduced)``.
+    """One layer of the state (n, a, b), which needs a > n: ``(c, m, low, pairs, reduced)``.
 
     ``pairs[i]`` is the pair given to amount a + i.  Amounts up to c + m are
     met exactly; the others stay open and need the rest from ``reduced``.
     """
-    if a <= n:
-        raise ValueError(f"layer requires run.a > n (n={n}, run=[{a}..{b}])")
     s = b - a + 1
     assert n >= 2 * s, f"length bound violated for valid instance (n={n}, s={s})"
     c = 2 * n - 2 * s + 1
@@ -154,8 +107,7 @@ def _layer_step(
         # a = c - m, so amount c - d sits at index m - d.
         assert s >= 2 * m + 1, f"window exceeds Q (s={s}, m={m})"
         window_low = n - 2 * m
-        dp = difference_pairs(m, window_low)
-        for d, (x, xp) in enumerate(dp.pairs, start=1):
+        for d, (x, xp) in enumerate(difference_pairs(m, window_low), start=1):
             pairs[m - d] = (c - xp, x)
             pairs[m + d] = (c - x, xp)
             used_q.add(x)
@@ -180,65 +132,6 @@ def _kind(t: int, c: int, m: int) -> str:
     return MIRROR_HIGH if t - c <= m else OPEN
 
 
-def _layer_trace(
-    n: int, a: int, b: int, c: int, m: int, low: int | None, pairs: list[tuple[int, int]]
-) -> LayerTrace:
-    s = b - a + 1
-    return LayerTrace(
-        n=n,
-        run=ConsecutiveRun(a, b),
-        s=s,
-        c=c,
-        p_range=(n - 2 * s + 1, n - s),
-        q_range=(n - s + 1, n),
-        m=m,
-        low=low,
-        assignments=tuple(
-            Assignment(t, pair, _kind(t, c, m)) for t, pair in zip(range(a, b + 1), pairs)
-        ),
-    )
-
-
-def _reduced_instance(state: _State) -> Instance | None:
-    n, a, b = state
-    return Instance(n, ConsecutiveRun(a, b)) if n else None
-
-
-def peel(inst: Instance) -> tuple[list[tuple[int, tuple[int, ...]]], Instance | None]:
-    """Assign the singleton {t} to every target t in [a..n] and reduce.
-
-    Applicable when a <= n.  The leftover problem swaps roles: the unassigned
-    prefix {1..a-1} must realize the targets [n+1..b], and since n+1 > a-1 a
-    peel never applies twice in a row.  The reduced instance is absent exactly
-    when a = 1 (the identity run, everything already assigned).
-    """
-    singles, reduced = _peel_step(inst.n, inst.run.a, inst.run.b)
-    return [(t, (t,)) for t in singles], _reduced_instance(reduced)
-
-
-def layer(
-    inst: Instance,
-) -> tuple[
-    LayerTrace,
-    list[tuple[int, tuple[int, int]]],
-    list[tuple[int, tuple[int, int]]],
-    Instance | None,
-]:
-    """One construction round for an instance with a > n.
-
-    Returns ``(trace, closed, open_pairs, reduced)`` where ``closed`` holds
-    targets met exactly by a pair, ``open_pairs`` holds targets that received
-    a pair summing to c but still need ``t - c`` more, and ``reduced`` is the
-    leftover instance over {1..n-2s} (absent when n = 2s).
-    """
-    n, a, b = inst.n, inst.run.a, inst.run.b
-    c, m, low, pairs, reduced = _layer_step(n, a, b)
-    assigned = list(zip(range(a, b + 1), pairs))
-    closed = [(t, pair) for t, pair in assigned if t - c <= m]
-    open_pairs = [(t, pair) for t, pair in assigned if t - c > m]
-    return _layer_trace(n, a, b, c, m, low, pairs), closed, open_pairs, _reduced_instance(reduced)
-
-
 def _check_pending(n: int, a: int, b: int, pending: int) -> None:
     # the pending amounts are the run [a..b], one per pending target, and
     # their sum is 1 + ... + n
@@ -255,21 +148,17 @@ def _stretch_start(a: int, c: int, s: int, j: int) -> int:
     return a - j * c + 2 * s * j * (j - 1)
 
 
-def solve(
-    inst: Instance, want_trace: bool = False
-) -> tuple[Partition, list[LayerTrace] | None]:
+def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, list[tuple] | None]:
     """Partition {1..n} into blocks summing to each target of the run.
 
     Deterministic; the same instance always yields the identical partition.
-    With ``want_trace`` the per-layer intermediate states are returned as well
-    (peels contribute no trace).
+    With ``want_trace`` it also returns the trace: one record
+    ``(n, a, b, c, m, low, pairs)`` per layer, in order (peels contribute
+    none).  The layer met the pending amounts [a..b] over {1..n} with pairs
+    summing to c = 2n - 2s + 1; ``pairs[i]`` went to the amount a + i, the
+    amounts up to c + m were met exactly, and ``low`` is the bottom of the
+    difference-pair window when m >= 1, else None.
     """
-    partition, records = _solve(inst, want_trace)
-    return partition, (None if records is None else [_layer_trace(*r) for r in records])
-
-
-def _solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, list[tuple] | None]:
-    """:func:`solve`, tracing each layer as the arguments of :func:`_layer_trace`."""
     n, a, b = inst.n, inst.run.a, inst.run.b
     blocks: dict[int, list[int]] = {t: [] for t in range(a, b + 1)}
     # targets[i] is the original target that still needs amount a + i
@@ -280,9 +169,11 @@ def _solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, list[tu
         s = len(targets)
         _check_pending(n, a, b, s)
         if a <= n:
-            singles, (n, a, b) = _peel_step(n, a, b)
-            for target, t in zip(targets, singles):
+            # a peel: amount t in [a..n] gets the singleton {t}, which leaves
+            # {1..a-1} for the amounts [n+1..b]
+            for target, t in zip(targets, range(a, n + 1)):
                 blocks[target].append(t)
+            n, a = a - 1, n + 1
         elif n >= 3 * s:
             # A stretch of k plain layers that leave every target open: with
             # the sum invariant, a > c = 2n-2s+1 iff (n-s)(n-3s+1) > 0, which

@@ -88,13 +88,13 @@ def test_criterion_4_difference_pair_sweep():
     failures = 0
     for m in range(1, 501):
         for low in (1, 7, 10**6):
-            dp = difference_pairs(m, low)
-            values = [v for pair in dp.pairs for v in pair]
+            pairs = difference_pairs(m, low)
+            values = [v for pair in pairs for v in pair]
             if not (
                 len(set(values)) == 2 * m
                 and min(values) == low
                 and max(values) <= 2 * m + low
-                and all(hi - lo == i for i, (lo, hi) in enumerate(dp.pairs, 1))
+                and all(hi - lo == i for i, (lo, hi) in enumerate(pairs, 1))
             ):
                 failures += 1
     elapsed = time.perf_counter() - started

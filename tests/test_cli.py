@@ -21,7 +21,7 @@ from staircase_sums.cli import (
     RENDER_MAX_WIDTH,
     SELFTEST_MAX_N,
 )
-from staircase_sums.construct import LayerTrace, Partition
+from staircase_sums.construct import Partition
 from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
 
 GOLDEN_COMMANDS = {
@@ -318,10 +318,10 @@ def test_json_writer_refuses_what_json_cannot_hold():
         _written([float("nan")])
 
 
-# Partitions of several blocks of ints of 1 to 12 digits; no check runs on them
+# Partitions of several blocks, empty or of ints of 1 to 12 digits; no check runs on them
 _PARTITIONS = st.dictionaries(
     st.integers(1, 10**12 - 1),
-    st.lists(st.integers(-(10**12) + 1, 10**12 - 1), min_size=1, max_size=8).map(tuple),
+    st.lists(st.integers(-(10**12) + 1, 10**12 - 1), min_size=0, max_size=8).map(tuple),
     min_size=1,
     max_size=6,
 ).map(lambda blocks: Partition(1, ConsecutiveRun(1, 1), blocks))
@@ -337,26 +337,33 @@ def test_partition_writers_keep_their_bytes(partition):
     ]
 
 
-# Reference trace writers, which go through LayerTrace objects and dicts;
-# cli._Trace writes the same bytes straight from the solver's layer records.
-def _trace_json(traces: list[LayerTrace]) -> list[dict]:
+# Reference trace writers, which build a dict per layer from the solver's
+# records and name each pair's kind themselves; cli._Trace writes the same
+# bytes straight from the records.
+def _kind(t: int, c: int, m: int) -> str:
+    if t - c > m:
+        return "open"
+    return "mirror-low" if t < c else "exact" if t == c else "mirror-high"
+
+
+def _trace_json(records: list[tuple]) -> list[dict]:
     return [
         {
-            "n": tr.n,
-            "run": {"a": tr.run.a, "b": tr.run.b},
-            "s": tr.s,
-            "c": tr.c,
-            "p_range": list(tr.p_range),
-            "q_range": list(tr.q_range),
-            "deficits": tr.deficits(),
-            "m": tr.m,
-            "l": tr.low,
+            "n": n,
+            "run": {"a": a, "b": b},
+            "s": len(pairs),
+            "c": c,
+            "p_range": [n - 2 * len(pairs) + 1, n - len(pairs)],
+            "q_range": [n - len(pairs) + 1, n],
+            "deficits": [c - t for t in range(a, b + 1)],
+            "m": m,
+            "l": low,
             "assignments": [
-                {"target": asg.target, "pair": list(asg.pair), "kind": asg.kind}
-                for asg in tr.assignments
+                {"target": t, "pair": list(pair), "kind": _kind(t, c, m)}
+                for t, pair in zip(range(a, b + 1), pairs)
             ],
         }
-        for tr in traces
+        for n, a, b, c, m, low, pairs in records
     ]
 
 
@@ -385,9 +392,8 @@ def _trace_text(trace: list[dict]) -> list[str]:
 def test_layer_record_writers_match_the_trace_writers(n, pick):
     runs = enumerate_runs(triangular(n))
     inst = Instance(n, runs[pick % len(runs)])
-    traces = construct.solve(inst, want_trace=True)[1]
-    records = construct._solve(inst, want_trace=True)[1]
-    reference = _trace_json(traces)
+    records = construct.solve(inst, want_trace=True)[1]
+    reference = _trace_json(records)
     assert _written(cli._Trace(records)) == json.dumps(reference, indent=2)
     assert "\n".join(cli._Trace(records).text()) == "\n".join(_trace_text(reference))
 

@@ -1,4 +1,4 @@
-"""Difference pairs, peel/layer reductions, and the full solver."""
+"""Difference pairs, the layer step, peels, and the full solver."""
 
 from __future__ import annotations
 
@@ -15,11 +15,10 @@ from staircase_sums.construct import (
     MIRROR_HIGH,
     MIRROR_LOW,
     OPEN,
-    LayerTrace,
     Partition,
+    _kind,
+    _layer_step,
     difference_pairs,
-    layer,
-    peel,
     solve,
 )
 from staircase_sums.oracle import verify
@@ -43,44 +42,49 @@ def _instances(max_n: int, pred=None):
                 yield inst
 
 
-def reference_solve(inst: Instance) -> tuple[Partition, list[LayerTrace]]:
-    """The solver as one public peel or layer per step, with the full invariant each step.
+def reference_solve(inst: Instance) -> tuple[Partition, list[tuple]]:
+    """The solver as one peel or one ``_layer_step`` per step, with the full invariant each step.
 
     ``solve`` takes a whole stretch of plain layers in one step; this is the
-    per-layer loop it must agree with, block for block and trace for trace.
+    per-layer loop it must agree with, block for block and record for record.
     """
     blocks: dict[int, list[int]] = {t: [] for t in inst.run.values()}
     # pending amount still needed -> original target
     owner: dict[int, int] = {t: t for t in inst.run.values()}
-    traces: list[LayerTrace] = []
-    cur: Instance | None = inst
-    while cur is not None:
-        assert sorted(owner) == list(cur.run.values())
-        assert sum(owner) == triangular(cur.n)
-        if cur.run.a <= cur.n:
-            singles, reduced = peel(cur)
-            for amount, block in singles:
-                blocks[owner.pop(amount)].extend(block)
-        else:
-            trace, closed, open_pairs, reduced = layer(cur)
-            traces.append(trace)
-            for amount, block in closed:
-                blocks[owner.pop(amount)].extend(block)
-            next_owner: dict[int, int] = {}
-            for amount, pair in open_pairs:
-                target = owner.pop(amount)
-                blocks[target].extend(pair)
-                next_owner[amount - trace.c] = target
-            assert not owner
-            owner = next_owner
-        cur = reduced
-    assert not owner
+    records: list[tuple] = []
+    n = inst.n
+    while owner:
+        a, b = min(owner), max(owner)
+        assert sorted(owner) == list(range(a, b + 1))
+        assert sum(owner) == triangular(n)
+        if a <= n:
+            # amount t in [a..n] takes {t}; {1..a-1} is left for the amounts above n
+            for t in range(a, n + 1):
+                blocks[owner.pop(t)].append(t)
+            n = a - 1
+            continue
+        c, m, low, pairs, reduced = _layer_step(n, a, b)
+        records.append((n, a, b, c, m, low, pairs))
+        next_owner: dict[int, int] = {}
+        for amount, pair in zip(range(a, b + 1), pairs):
+            target = owner.pop(amount)
+            blocks[target].extend(pair)
+            if amount - c > m:
+                next_owner[amount - c] = target
+            else:
+                assert sum(pair) == amount
+        owner = next_owner
+        n -= 2 * len(pairs)
+        assert reduced[0] == n
+        if owner:
+            assert reduced[1:] == (min(owner), max(owner))
+    assert n == 0
     partition = Partition(
         n=inst.n,
         run=inst.run,
         blocks={t: tuple(sorted(blocks[t])) for t in inst.run.values()},
     )
-    return partition, traces
+    return partition, records
 
 
 def seeded_instances(seed: int, max_n: int, drawn: int) -> list[Instance]:
@@ -118,7 +122,7 @@ def valid_instances(draw, max_n=300):
     ],
 )
 def test_difference_pairs_examples(m, low, expected):
-    assert difference_pairs(m, low).pairs == expected
+    assert difference_pairs(m, low) == expected
 
 
 @pytest.mark.parametrize("m,low", [(0, 1), (1, 0), (-3, 5)])
@@ -133,28 +137,27 @@ def test_difference_pairs_contract_errors(m, low):
     st.sampled_from([1, 7, 10**6]),
 )
 def test_difference_pairs_invariants(m, low):
-    dp = difference_pairs(m, low)
-    values = [v for pair in dp.pairs for v in pair]
-    assert len(dp.pairs) == m
+    pairs = difference_pairs(m, low)
+    values = [v for pair in pairs for v in pair]
+    assert len(pairs) == m
     assert len(set(values)) == 2 * m
     assert min(values) == low
     assert max(values) <= 2 * m + low
-    assert all(hi - lo == i for i, (lo, hi) in enumerate(dp.pairs, start=1))
+    assert all(hi - lo == i for i, (lo, hi) in enumerate(pairs, start=1))
 
 
 def test_difference_pairs_m1_stays_below_window_top():
     for low in (1, 7, 10**6):
-        dp = difference_pairs(1, low)
-        assert max(v for pair in dp.pairs for v in pair) == 2 + low - 1
+        assert max(v for pair in difference_pairs(1, low) for v in pair) == 2 + low - 1
 
 
 # ---------------------------------------------------------------- peel
 
 
 def test_peel_identity_run():
-    singles, reduced = peel(Instance(5, ConsecutiveRun(1, 5)))
-    assert singles == [(t, (t,)) for t in range(1, 6)]
-    assert reduced is None
+    partition, records = solve(Instance(5, ConsecutiveRun(1, 5)), want_trace=True)
+    assert partition.blocks == {t: (t,) for t in range(1, 6)}
+    assert records == []  # nothing is left after the peel
 
 
 @pytest.mark.parametrize(
@@ -166,17 +169,11 @@ def test_peel_identity_run():
     ],
 )
 def test_peel_examples(n, a, b, reduced_n, reduced_a, reduced_b):
-    inst = Instance(n, ConsecutiveRun(a, b))
-    singles, reduced = peel(inst)
-    assert singles == [(t, (t,)) for t in range(a, n + 1)]
-    assert reduced == Instance(reduced_n, ConsecutiveRun(reduced_a, reduced_b))
-    # a peel never applies twice in a row
-    assert reduced.run.a > reduced.n
-
-
-def test_peel_rejects_runs_above_n():
-    with pytest.raises(ValueError):
-        peel(Instance(14, ConsecutiveRun(15, 20)))
+    partition, records = solve(Instance(n, ConsecutiveRun(a, b)), want_trace=True)
+    assert all(partition.blocks[t] == (t,) for t in range(a, n + 1))
+    # a peel never applies twice in a row, so a layer of the reduced state follows
+    assert reduced_a > reduced_n
+    assert records[0][:3] == (reduced_n, reduced_a, reduced_b)
 
 
 def test_peel_instances_exist_and_reduce_validly():
@@ -184,107 +181,81 @@ def test_peel_instances_exist_and_reduce_validly():
     assert Instance(5, ConsecutiveRun(4, 6)) in found
     assert Instance(9, ConsecutiveRun(5, 10)) in found
     for inst in found:
-        singles, reduced = peel(inst)
-        assert len(singles) == inst.n - inst.run.a + 1
-        assert reduced is not None  # b > n leaves something to do
+        partition, records = solve(inst, want_trace=True)
+        singles = [t for t, block in partition.blocks.items() if block == (t,)]
+        assert singles == list(range(inst.run.a, inst.n + 1))
+        assert records[0][:3] == (inst.run.a - 1, inst.n + 1, inst.run.b)
 
 
 # ---------------------------------------------------------------- layer
 
 
 def test_layer_worked_example():
-    trace, closed, open_pairs, reduced = layer(Instance(14, ConsecutiveRun(15, 20)))
-    assert (trace.s, trace.c, trace.m, trace.low) == (6, 17, 2, 10)
-    assert trace.p_range == (3, 8)
-    assert trace.q_range == (9, 14)
-    assert trace.deficits() == [2, 1, 0, -1, -2, -3]
-    assert dict(closed) == {
-        15: (3, 12),
-        16: (6, 10),
-        17: (8, 9),
-        18: (7, 11),
-        19: (5, 14),
-    }
-    assert open_pairs == [(20, (4, 13))]
-    assert reduced == Instance(2, ConsecutiveRun(3, 3))
-    kinds = {asg.target: asg.kind for asg in trace.assignments}
-    assert kinds == {
-        15: MIRROR_LOW,
-        16: MIRROR_LOW,
-        17: EXACT,
-        18: MIRROR_HIGH,
-        19: MIRROR_HIGH,
-        20: OPEN,
-    }
+    c, m, low, pairs, reduced = _layer_step(14, 15, 20)
+    assert (c, m, low) == (17, 2, 10)
+    assert pairs == [(3, 12), (6, 10), (8, 9), (7, 11), (5, 14), (4, 13)]
+    # P = [3..8] and Q = [9..14], one of each in every pair
+    assert sorted(p for p, _ in pairs) == list(range(3, 9))
+    assert sorted(q for _, q in pairs) == list(range(9, 15))
+    assert reduced == (2, 3, 3)
+    assert [_kind(t, c, m) for t in range(15, 21)] == [
+        MIRROR_LOW,
+        MIRROR_LOW,
+        EXACT,
+        MIRROR_HIGH,
+        MIRROR_HIGH,
+        OPEN,
+    ]
 
 
 def test_layer_small_examples():
-    trace, closed, open_pairs, reduced = layer(Instance(5, ConsecutiveRun(7, 8)))
-    assert (trace.s, trace.c, trace.m) == (2, 7, 0)
-    assert closed == [(7, (3, 4))]
-    assert open_pairs == [(8, (2, 5))]
-    assert reduced == Instance(1, ConsecutiveRun(1, 1))
-
-    trace, closed, open_pairs, reduced = layer(Instance(2, ConsecutiveRun(3, 3)))
-    assert (trace.s, trace.c, trace.m) == (1, 3, 0)
-    assert closed == [(3, (1, 2))]
-    assert open_pairs == []
-    assert reduced is None
+    assert _layer_step(5, 7, 8) == (7, 0, None, [(3, 4), (2, 5)], (1, 1, 1))
+    # nothing is left: the reduced state has n = 0 and the empty run a = b + 1
+    assert _layer_step(2, 3, 3) == (3, 0, None, [(1, 2)], (0, 1, 0))
 
 
 def test_layer_all_positive_deficits():
     # a > c: no zero-deficit target, every pair stays open
-    trace, closed, open_pairs, reduced = layer(Instance(9, ConsecutiveRun(22, 23)))
-    assert (trace.s, trace.c, trace.m) == (2, 15, 0)
-    assert closed == []
-    assert open_pairs == [(22, (7, 8)), (23, (6, 9))]
-    assert reduced == Instance(5, ConsecutiveRun(7, 8))
-
-
-def test_layer_rejects_peelable_instances():
-    with pytest.raises(ValueError):
-        layer(Instance(5, ConsecutiveRun(1, 5)))
+    c, m, low, pairs, reduced = _layer_step(9, 22, 23)
+    assert (c, m, low) == (15, 0, None)
+    assert pairs == [(7, 8), (6, 9)]
+    assert reduced == (5, 7, 8)
 
 
 def test_layer_conservation_and_sums_sweep():
     for inst in _instances(120, lambda i: i.run.a > i.n):
-        trace, closed, open_pairs, reduced = layer(inst)
-        n, s, c = inst.n, trace.s, trace.c
-        consumed = [e for _, pair in closed for e in pair]
-        consumed += [e for _, pair in open_pairs for e in pair]
-        assert sorted(consumed) == list(range(n - 2 * s + 1, n + 1))
-        for target, pair in closed:
-            assert sum(pair) == target
-        for target, pair in open_pairs:
-            assert sum(pair) == c
-            assert target - c > trace.m
-        if reduced is None:
-            assert not open_pairs
-        else:
-            assert reduced.n == n - 2 * s
-            assert sorted(t - c for t, _ in open_pairs) == list(reduced.run.values())
+        n, a, b = inst.n, inst.run.a, inst.run.b
+        c, m, low, pairs, reduced = _layer_step(n, a, b)
+        s = b - a + 1
+        assert len(pairs) == s
+        assert sorted(e for pair in pairs for e in pair) == list(range(n - 2 * s + 1, n + 1))
+        assert (low is None) == (m == 0)
+        open_amounts = []
+        for t, pair in zip(range(a, b + 1), pairs):
+            if t - c <= m:
+                assert sum(pair) == t
+            else:
+                assert sum(pair) == c
+                open_amounts.append(t - c)
+        assert reduced[0] == n - 2 * s
+        assert open_amounts == list(range(reduced[1], reduced[2] + 1))
 
 
 def test_layer_mirror_symmetry_sweep():
     seen_mirrors = 0
     for inst in _instances(200, lambda i: i.run.a > i.n):
-        trace, _, _, _ = layer(inst)
-        if trace.m == 0:
+        a = inst.run.a
+        c, m, low, pairs, _ = _layer_step(inst.n, a, inst.run.b)
+        if m == 0:
             continue
         seen_mirrors += 1
-        by_target = {asg.target: asg for asg in trace.assignments}
-        for d in range(1, trace.m + 1):
-            lo = by_target[trace.c - d]
-            hi = by_target[trace.c + d]
-            assert lo.kind == MIRROR_LOW and hi.kind == MIRROR_HIGH
-            x, xp = lo.pair[1], hi.pair[1]
+        for d in range(1, m + 1):
+            lo, hi = pairs[c - d - a], pairs[c + d - a]
+            assert _kind(c - d, c, m) == MIRROR_LOW and _kind(c + d, c, m) == MIRROR_HIGH
+            x, xp = lo[1], hi[1]
             assert xp - x == d
-            assert set(lo.pair) | set(hi.pair) == {
-                x,
-                xp,
-                trace.c - x,
-                trace.c - xp,
-            }
+            assert low <= x < xp <= low + 2 * m
+            assert set(lo) | set(hi) == {x, xp, c - x, c - xp}
     assert seen_mirrors > 0
 
 
@@ -292,15 +263,15 @@ def test_layer_mirror_symmetry_sweep():
 
 
 def test_solve_worked_example():
-    partition, traces = solve(Instance(14, ConsecutiveRun(15, 20)), want_trace=True)
+    partition, records = solve(Instance(14, ConsecutiveRun(15, 20)), want_trace=True)
     assert partition.blocks == WORKED_EXAMPLE_BLOCKS
-    assert [tr.n for tr in traces] == [14, 2]
+    assert [record[0] for record in records] == [14, 2]
 
 
 def test_solve_identity():
-    partition, traces = solve(Instance(5, ConsecutiveRun(1, 5)))
+    partition, records = solve(Instance(5, ConsecutiveRun(1, 5)))
     assert partition.blocks == {t: (t,) for t in range(1, 6)}
-    assert traces is None
+    assert records is None
 
 
 def test_solve_small_example():
@@ -344,9 +315,9 @@ def test_solve_sweep_small():
 
 def test_solve_matches_reference_sweep_to_300():
     for inst in _instances(300):
-        partition, traces = reference_solve(inst)
+        partition, records = reference_solve(inst)
         assert solve(inst)[0].blocks == partition.blocks, inst
-        assert solve(inst, want_trace=True)[1] == traces, inst
+        assert solve(inst, want_trace=True)[1] == records, inst
 
 
 def test_solve_matches_reference_on_seeded_instances_to_1e5():
@@ -356,7 +327,7 @@ def test_solve_matches_reference_on_seeded_instances_to_1e5():
 
 def test_solve_traces_match_reference_to_1e4():
     for inst in seeded_instances(seed=7, max_n=10**4, drawn=24):
-        partition, traces = solve(inst, want_trace=True)
-        expected_partition, expected_traces = reference_solve(inst)
+        partition, records = solve(inst, want_trace=True)
+        expected_partition, expected_records = reference_solve(inst)
         assert partition.blocks == expected_partition.blocks, inst
-        assert traces == expected_traces, inst
+        assert records == expected_records, inst

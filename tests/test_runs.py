@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircase_sums import difference_pairs, solve, staircase_layout, verify
-from staircase_sums.construct import Assignment, DifferencePairs, Partition
+from staircase_sums import VerifyReport, solve, staircase_layout, verify
+from staircase_sums.construct import Partition
 from staircase_sums.runs import (
     _TRIAL_BOUND,
     _TRIAL_PRIMES,
@@ -224,10 +224,10 @@ def test_instance_validation():
 def _value_objects() -> list:
     """One object of each value class, as the package builds them."""
     inst = Instance(5, ConsecutiveRun(7, 8))
-    partition, traces = solve(inst, want_trace=True)
+    partition, _ = solve(inst)
     wrong = Partition(5, inst.run, {7: (1, 2, 4), 8: (3, 5, 6)})
-    return [ConsecutiveRun(15, 20), inst, partition, *traces, difference_pairs(2, 10),
-            verify(5, inst.run, partition), verify(5, inst.run, wrong), staircase_layout(2)]
+    return [ConsecutiveRun(15, 20), inst, partition, verify(5, inst.run, partition),
+            verify(5, inst.run, wrong), staircase_layout(2)]
 
 
 # the reprs the frozen dataclasses gave these objects
@@ -235,10 +235,6 @@ VALUE_REPRS = [
     "ConsecutiveRun(a=15, b=20)",
     "Instance(n=5, run=ConsecutiveRun(a=7, b=8))",
     "Partition(n=5, run=ConsecutiveRun(a=7, b=8), blocks={7: (3, 4), 8: (1, 2, 5)})",
-    "LayerTrace(n=5, run=ConsecutiveRun(a=7, b=8), s=2, c=7, p_range=(2, 3), "
-    "q_range=(4, 5), m=0, low=None, assignments=(Assignment(target=7, pair=(3, 4), "
-    "kind='exact'), Assignment(target=8, pair=(2, 5), kind='open')))",
-    "DifferencePairs(m=2, low=10, pairs=((10, 11), (12, 14)))",
     "VerifyReport(ok=True, violations=())",
     "VerifyReport(ok=False, violations=(('wrong-sum', 8, 14), ('foreign-element', 6)))",
     "TableauLayout(rows=((1, (1,)), (2, (2, 2))))",
@@ -259,9 +255,9 @@ def test_value_classes_keep_their_contract():
         with pytest.raises(AttributeError):
             delattr(value, name)
         assert getattr(value, name) == getattr(twin, name)
-    assert values[5] != values[6]  # the two verify reports
+    assert values[3] != values[4]  # the two verify reports
     assert ConsecutiveRun(1, 2) != (1, 2)
-    assert DifferencePairs(7, (3, 4), "exact") != Assignment(7, (3, 4), "exact")
+    assert ConsecutiveRun(1, 2) != VerifyReport(1, 2)
     run = ConsecutiveRun(7, 8)
     assert Partition(n=5, run=run, blocks={}) == Partition(5, run, {})
     with pytest.raises(TypeError):
