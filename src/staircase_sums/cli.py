@@ -10,8 +10,10 @@ Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
 ``--json``, ``text_<command>(input_echo, result)`` gives the text lines from
 those same dicts, so text and JSON cannot disagree.  A trace is written
 straight from the per-layer int records that ``construct.solve`` returns.
-Once the handler and its checks are done, the reply goes to stdout piece by
-piece as it is formatted.
+Runs of same-shaped records (the layers of a stretch, the run dicts of a
+``runs`` reply) are formatted in C through one ``%`` template each.  Once
+the handler and its checks are done, the reply goes to stdout piece by piece
+as it is formatted.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
 failed), 2 user error, 141 the reader closed stdout before the reply ended.
@@ -26,9 +28,11 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
+from itertools import chain, groupby, islice, repeat
+from operator import gt, sub
 
 from . import oracle, render
-from .construct import Partition, _kind, difference_pairs, solve
+from .construct import KINDS, Partition, _kinds, difference_pairs, solve
 from .runs import (
     ConsecutiveRun,
     Instance,
@@ -54,6 +58,35 @@ def _ints(values, sep: str) -> str:
     return (("%d" + sep) * len(values) % values)[:-len(sep)]
 
 
+def _records(template: str, sep: str, values, width: int, count: int):
+    """``count`` records with ``sep`` between them, each formatted in C through
+    the one ``%`` template from the next ``width`` ints of ``values``.
+
+    Yields them about sqrt(count) records at a time, so that a long batch is
+    never held whole as text; the caller puts ``sep`` between the pieces.
+    """
+    values = iter(values)
+    size = math.isqrt(count)
+    for done in range(0, count, size):
+        take = min(size, count - done)
+        yield sep.join([template] * take) % tuple(islice(values, take * width))
+
+
+def _int_dicts(items, pad: str):
+    """The pieces of ``items`` written by :func:`_records` if it is a list of
+    dicts with the same str keys in the same order and only int values, each
+    dict starting on a line indented by ``pad``; None for anything else."""
+    if isinstance(items, dict) or set(map(type, items)) != {dict} \
+            or len(set(map(tuple, items))) != 1:
+        return None
+    values = tuple(chain.from_iterable(map(dict.values, items)))
+    if set(map(type, values)) != {int}:  # bools are written as true and false
+        return None
+    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in items[0]]
+    template = "{" + ",".join(f"{pad}  {key}: %d" for key in keys) + pad + "}"
+    return _records(template, "," + pad, values, len(keys), len(items))
+
+
 def to_json(value, write, pad: str = "\n") -> None:
     """Write ``value`` as JSON indented by two spaces, byte for byte as the
     stdlib ``json.dumps`` writes it with that indent, for what an envelope holds.
@@ -61,11 +94,12 @@ def to_json(value, write, pad: str = "\n") -> None:
     ``write`` takes the pieces in order; ``pad`` is a newline plus the
     indentation of the line ``value`` starts on.  The stdlib drops to its
     pure-Python encoder whenever an indent is set; this writer makes one call
-    per container and formats each flat sequence of ints in C (:func:`_ints`).
-    A :class:`Partition` is written as its blocks object and a :class:`_Trace`
-    as the list of its layers.  Like the stdlib, it raises TypeError on any
-    other type; it also raises it on a key that is not a str, and ValueError
-    on NaN or infinity.
+    per container and formats in C each flat sequence of ints (:func:`_ints`)
+    and each list of dicts with the same keys and int values
+    (:func:`_int_dicts`).  A :class:`Partition` is written as its blocks
+    object and a :class:`_Trace` as the list of its layers.  Like the stdlib,
+    it raises TypeError on any other type; it also raises it on a key that is
+    not a str, and ValueError on NaN or infinity.
     """
     if isinstance(value, str):
         text = encode_basestring_ascii(value)
@@ -79,8 +113,8 @@ def to_json(value, write, pad: str = "\n") -> None:
         text = float.__repr__(value)
     elif not isinstance(value, (list, tuple, dict, Partition)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    elif not value:
-        text = "{}" if isinstance(value, dict) else "[]"
+    elif not (value.blocks if isinstance(value, Partition) else value):
+        text = "[]" if isinstance(value, (list, tuple)) else "{}"
     elif isinstance(value, Partition):
         i1, i2 = pad + "  ", pad + "    "
         text = "{" + ",".join(
@@ -91,9 +125,10 @@ def to_json(value, write, pad: str = "\n") -> None:
     else:
         inner = pad + "  "
         head = ("{" if isinstance(value, dict) else "[") + inner
-        if isinstance(value, _Trace):
-            for layer in value.json(inner):
-                write(head + layer)
+        pieces = value.json(inner) if isinstance(value, _Trace) else _int_dicts(value, inner)
+        if pieces is not None:
+            for piece in pieces:
+                write(head + piece)
                 head = "," + inner
         else:
             # the escaper itself raises TypeError on a key that is not a str
@@ -112,41 +147,96 @@ def _blocks_text(partition: Partition) -> list[str]:
             for t, block in sorted(partition.blocks.items())]
 
 
+def _layer_ints(ns, as_, bs, cs, pairs, number: int | None):
+    """The ints that a layer template takes from layers of one run length,
+    given as the columns n, a, b, c and pairs of their records, layer after
+    layer: the layer's number (counting from ``number``, if it is not None),
+    n, a, b, c, the ends of P and Q, the deficits, then target, low and high
+    of each pair.
+
+    One layer is read field by field; more are read column by column, so that
+    their cost per layer stays in C, and lazily.
+    """
+    numbers = () if number is None else range(number, number + len(ns))
+    s = bs[0] - as_[0] + 1
+    if len(ns) == 1:
+        n, a, b, c = ns[0], as_[0], bs[0], cs[0]
+        return (*numbers, n, a, b, c, n - 2 * s + 1, n - s, n - s + 1, n,
+                *range(c - a, c - b - 1, -1),
+                *chain.from_iterable(map(tuple.__add__, zip(range(a, b + 1)), pairs[0])))
+    heads = [numbers] if numbers else []
+    heads += [ns, as_, bs, cs, map((1 - 2 * s).__add__, ns), map((-s).__add__, ns),
+              map((1 - s).__add__, ns), ns]
+    # the deficits c - a down to c - b, and (target, low, high) for each pair
+    deficits = map(range, map(sub, cs, as_), map(sub, cs, map((s).__add__, as_)), repeat(-1))
+    targets = zip(chain.from_iterable(map(range, as_, map((1).__add__, bs))))
+    assignments = chain.from_iterable(map(tuple.__add__, targets, chain.from_iterable(pairs)))
+    rows = zip(zip(*heads), deficits, zip(*[assignments] * (3 * s)))
+    return chain.from_iterable(chain.from_iterable(rows))
+
+
 class _Trace(list):
     """The solver's layer records ``(n, a, b, c, m, low, pairs)``, which
-    :func:`to_json` writes as JSON and ``text_partition`` as text."""
+    :func:`to_json` writes as JSON and ``text_partition`` as text.
+
+    Consecutive layers of one shape (run length, window, and the kinds of
+    their targets) are written through one template by :func:`_records`: a
+    stretch of plain layers is one group, and each other layer is a group of
+    its own.  Both writers take the same ints (:func:`_layer_ints`).
+    """
+
+    def _write(self, layer, sep: str, numbered: bool):
+        """The layers in pieces, with ``sep`` between them: ``layer(s, m, low,
+        kinds)`` gives the template of a layer of that shape, whose ints
+        :func:`_layer_ints` gives, led by the layer's number if ``numbered``."""
+        if not self:
+            return
+        ns, as_, bs, cs, ms, lows, pairs = zip(*self)
+        start = 0
+        # run length, window, and whether a > c fix the kinds of a layer's targets
+        for (s, m, low, _), group in groupby(zip(map(sub, bs, as_), ms, lows, map(gt, as_, cs))):
+            stop = start + len(list(group))
+            s += 1
+            template = layer(s, m, low, _kinds(as_[start], bs[start], cs[start], m))
+            values = _layer_ints(ns[start:stop], as_[start:stop], bs[start:stop], cs[start:stop],
+                                 pairs[start:stop], start + 1 if numbered else None)
+            width = (9 if numbered else 8) + 4 * s
+            yield from _records(template, sep, values, width, stop - start)
+            start = stop
 
     def json(self, pad: str):
-        """The JSON object of each layer, starting on a line indented by ``pad``."""
+        """The JSON objects of the layers in pieces, each layer starting on a
+        line indented by ``pad``."""
         i1, i2, i3, i4 = (pad + "  " * k for k in range(1, 5))
-        pair = f'{{{i3}"target": %d,{i3}"pair": [{i4}%d,{i4}%d{i3}],{i3}"kind": "%s"{i2}}}'
-        for n, a, b, c, m, low, pairs in self:
-            s = b - a + 1
-            deficits = _ints(range(c - a, c - b - 1, -1), "," + i2)
-            assignments = ("," + i2).join(
-                pair % (t, lo, hi, _kind(t, c, m)) for t, (lo, hi) in zip(range(a, b + 1), pairs))
-            yield (
-                f'{{{i1}"n": {n},{i1}"run": {{{i2}"a": {a},{i2}"b": {b}{i1}}},{i1}"s": {s},'
-                f'{i1}"c": {c},{i1}"p_range": [{i2}{n - 2 * s + 1},{i2}{n - s}{i1}],'
-                f'{i1}"q_range": [{i2}{n - s + 1},{i2}{n}{i1}],'
-                f'{i1}"deficits": [{i2}{deficits}{i1}],{i1}"m": {m},'
+        sep = "," + i2
+        pair = f'{{{i3}"target": %%d,{i3}"pair": [{i4}%%d,{i4}%%d{i3}],{i3}"kind": "%s"{i2}}}'
+        pair = {kind: pair % kind for kind in KINDS}
+        before_s = f'{{{i1}"n": %d,{i1}"run": {{{i2}"a": %d,{i2}"b": %d{i1}}},{i1}"s": '
+        after_s = (f',{i1}"c": %d,{i1}"p_range": [{i2}%d,{i2}%d{i1}],'
+                   f'{i1}"q_range": [{i2}%d,{i2}%d{i1}],{i1}"deficits": [{i2}')
+
+        def layer(s, m, low, kinds):
+            return (
+                f'{before_s}{s}{after_s}{sep.join(["%d"] * s)}{i1}],{i1}"m": {m},'
                 f'{i1}"l": {"null" if low is None else low},'
-                f'{i1}"assignments": [{i2}{assignments}{i1}]{pad}}}'
+                f'{i1}"assignments": [{i2}{sep.join(map(pair.get, kinds))}{i1}]{pad}}}'
             )
 
+        return self._write(layer, "," + pad, False)
+
     def text(self):
-        """The text of each layer: its state line, then one line per pair."""
-        for idx, (n, a, b, c, m, low, pairs) in enumerate(self, start=1):
-            s = b - a + 1
-            deficits = _ints(range(c - a, c - b - 1, -1), ",")
-            yield (
-                f"layer {idx}: n={n} run=[{a}..{b}] s={s} c={c} P=[{n - 2 * s + 1}..{n - s}] "
-                f"Q=[{n - s + 1}..{n}] deficits=[{deficits}] m={m}"
+        """The text of the layers in pieces: each layer's state line, then one
+        line per pair."""
+        pair = {kind: "\n  target %%d <- (%%d, %%d)  [%s]" % kind for kind in KINDS}
+
+        def layer(s, m, low, kinds):
+            return (
+                f"layer %d: n=%d run=[%d..%d] s={s} c=%d P=[%d..%d] Q=[%d..%d] "
+                "deficits=[" + ",".join(["%d"] * s) + f"] m={m}"
                 f"{'' if low is None else f' l={low}'}"
-            ) + "".join(
-                f"\n  target {t} <- ({lo}, {hi})  [{_kind(t, c, m)}]"
-                for t, (lo, hi) in zip(range(a, b + 1), pairs)
-            )
+            ) + "".join(map(pair.get, kinds))
+
+        return self._write(layer, "\n", True)
 
 
 def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict, int]:

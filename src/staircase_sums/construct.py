@@ -29,10 +29,16 @@ the two arithmetic progressions n-s-i, n-3s-i, ... and n-s+1+i, n-s+1+i-2s,
 per peel, per stretch, and per remaining layer (a windowed layer, or the
 plain layer with a = c that closes the first target).  A trace, one record
 of ints per layer (documented at :func:`solve`), is built only when asked
-for, by expanding each stretch into its layers.
+for.  A stretch's records are built in bulk, not layer by layer: their n and
+pair sums are arithmetic progressions, their run starts the running sums of
+those pair sums, and their pairs the columns of the progressions just added
+to the blocks.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, repeat
+from operator import sub
 
 from .runs import ConsecutiveRun, Instance, _Value
 
@@ -40,6 +46,7 @@ MIRROR_LOW = "mirror-low"
 MIRROR_HIGH = "mirror-high"
 EXACT = "exact"
 OPEN = "open"
+KINDS = (MIRROR_LOW, EXACT, MIRROR_HIGH, OPEN)  # in the order they take a layer's targets
 
 
 def difference_pairs(m: int, low: int) -> tuple[tuple[int, int], ...]:
@@ -124,12 +131,13 @@ def _layer_step(
     return c, m, window_low, pairs, (n - 2 * s, max(m + 1, a - c), b - c)
 
 
-def _kind(t: int, c: int, m: int) -> str:
-    if t < c:
-        return MIRROR_LOW
-    if t == c:
-        return EXACT
-    return MIRROR_HIGH if t - c <= m else OPEN
+def _kinds(a: int, b: int, c: int, m: int) -> list[str]:
+    """The kind of each target a..b of a layer with pair sum c and window m:
+    the m below c and the m above it are met by difference pairs, c itself
+    (if a <= c) by one pair, and the rest stay open."""
+    exact = int(a <= c)
+    opened = b - a + 1 - 2 * m - exact
+    return [MIRROR_LOW] * m + [EXACT] * exact + [MIRROR_HIGH] * m + [OPEN] * opened
 
 
 def _check_pending(n: int, a: int, b: int, pending: int) -> None:
@@ -189,12 +197,15 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, list[tup
                 block.extend(range(n - s + 1 + i, n - s + 1 + i - span, -step))
             c = 2 * n - 2 * s + 1
             if want_trace:
-                # layer j gave target i the pair (n-s-i-2sj, n-s+1+i-2sj); take
-                # it from the block so that trace and block share the ints
-                for j in range(k):
-                    nj, aj, cj = n - step * j, _stretch_start(a, c, s, j), c - 2 * step * j
-                    pairs = [(block[x + j], block[x + k + j]) for block, x in placed]
-                    records.append((nj, aj, aj + s - 1, cj, 0, None, pairs))
+                # Layer j has pair sum c - 4sj, which it takes off every amount,
+                # and gave target i the j-th term of each of its progressions;
+                # the pairs come from slices of the blocks, so that trace and
+                # blocks share the ints.
+                sums = range(c, c - 2 * span, -2 * step)
+                starts = list(accumulate(sums[:-1], sub, initial=a))
+                pairs = zip(*[zip(block[x:x + k], block[x + k:]) for block, x in placed])
+                records.extend(zip(range(n, n - span, -step), starts, map((s - 1).__add__, starts),
+                                   sums, repeat(0), repeat(None), map(list, pairs)))
             # The pending sum minus 1 + ... + n is a quadratic in the layer
             # index j, zero at j = 0 (checked above); checking it at j = k-1
             # here and at j = k on the next round makes it zero at every

@@ -23,6 +23,7 @@ from staircase_sums.cli import (
 )
 from staircase_sums.construct import Partition
 from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
+from test_construct import reference_solve
 
 GOLDEN_COMMANDS = {
     "runs_15.json": ["runs", 15],
@@ -32,6 +33,8 @@ GOLDEN_COMMANDS = {
     "partition_14_15_20_trace.json": ["partition", 14, 15, 20, "--trace"],
     # a stretch of plain layers and a closing layer
     "partition_300_45150_45150_trace.json": ["partition", 300, 45150, 45150, "--trace"],
+    # a stretch of width 3, then a peel and a closing layer
+    "partition_300_15049_15051_trace.json": ["partition", 300, 15049, 15051, "--trace"],
     "partition_5_1_5.json": ["partition", 5, 1, 5],
     # a peel-only run: its trace is empty
     "partition_5_1_5_trace.json": ["partition", 5, 1, 5, "--trace"],
@@ -337,6 +340,48 @@ def test_partition_writers_keep_their_bytes(partition):
     ]
 
 
+def test_partition_without_blocks_is_an_empty_object():
+    assert _written(Partition(1, ConsecutiveRun(1, 1), {})) == json.dumps({}, indent=2)
+
+
+# Lists of dicts with one key set and int values, which cli.to_json writes
+# through one template, with at times one item of another shape that must
+# send the list down the general path: a bool, its keys in another order, or
+# one key more.
+_KEYS = st.lists(st.text(st.sampled_from('%d"\\/\x00\n é\U0001f600')), min_size=1, max_size=4,
+                 unique=True)
+
+
+@st.composite
+def _int_dict_lists(draw):
+    keys = draw(_KEYS)
+    rows = st.lists(st.integers(), min_size=len(keys), max_size=len(keys))
+    items = [dict(zip(keys, row)) for row in draw(st.lists(rows, max_size=12))]
+    if items and draw(st.booleans()):
+        odd = dict(items[draw(st.integers(0, len(items) - 1))])
+        change = draw(st.sampled_from(["bool", "order", "key"]))
+        if change == "bool":
+            odd[keys[0]] = draw(st.booleans())
+        elif change == "order":
+            odd = dict(reversed(odd.items()))
+        else:
+            odd["extra"] = 0
+        items.insert(draw(st.integers(0, len(items))), odd)
+    return items
+
+
+@settings(max_examples=200)
+@given(_int_dict_lists())
+@example([])
+@example([{"a": 1}])
+@example([{"%d": 10**30, 'q"\\%%': -2}] * 5)
+@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+@example([{"a": 1}, {"a": True}])
+def test_lists_of_int_dicts_match_stdlib_indent_2(items):
+    assert _written(items) == json.dumps(items, indent=2)
+    assert _written({"runs": items}) == json.dumps({"runs": items}, indent=2)
+
+
 # Reference trace writers, which build a dict per layer from the solver's
 # records and name each pair's kind themselves; cli._Trace writes the same
 # bytes straight from the records.
@@ -388,11 +433,16 @@ def _trace_text(trace: list[dict]) -> list[str]:
 @given(st.integers(1, 2000), st.integers(0, 10**6))
 @example(14, 2)  # [15..20]: a windowed layer
 @example(5, 0)  # [1..5]: a peel and no layer
-@example(300, 5)  # [45150..45150]: a stretch and a closing layer
+@example(300, 5)  # [286..414]: a windowed layer with m = 42 and a closing layer
+@example(300, 23)  # [45150..45150]: a stretch of 149 layers, 12 per piece, and a closing layer
+@example(300, 22)  # [15049..15051]: a stretch of 49 layers of width 3, 7 per piece
+@example(9, 4)  # [22..23]: a stretch of one layer of width 2 and a closing layer
+@example(12, 2)  # [25..27]: a stretch of one layer of width 3
 def test_layer_record_writers_match_the_trace_writers(n, pick):
     runs = enumerate_runs(triangular(n))
     inst = Instance(n, runs[pick % len(runs)])
     records = construct.solve(inst, want_trace=True)[1]
+    assert records == reference_solve(inst)[1]
     reference = _trace_json(records)
     assert _written(cli._Trace(records)) == json.dumps(reference, indent=2)
     assert "\n".join(cli._Trace(records).text()) == "\n".join(_trace_text(reference))

@@ -16,7 +16,7 @@ from staircase_sums.construct import (
     MIRROR_LOW,
     OPEN,
     Partition,
-    _kind,
+    _kinds,
     _layer_step,
     difference_pairs,
     solve,
@@ -198,7 +198,7 @@ def test_layer_worked_example():
     assert sorted(p for p, _ in pairs) == list(range(3, 9))
     assert sorted(q for _, q in pairs) == list(range(9, 15))
     assert reduced == (2, 3, 3)
-    assert [_kind(t, c, m) for t in range(15, 21)] == [
+    assert _kinds(15, 20, c, m) == [
         MIRROR_LOW,
         MIRROR_LOW,
         EXACT,
@@ -218,6 +218,7 @@ def test_layer_all_positive_deficits():
     # a > c: no zero-deficit target, every pair stays open
     c, m, low, pairs, reduced = _layer_step(9, 22, 23)
     assert (c, m, low) == (15, 0, None)
+    assert _kinds(22, 23, c, m) == [OPEN, OPEN]
     assert pairs == [(7, 8), (6, 9)]
     assert reduced == (5, 7, 8)
 
@@ -249,9 +250,11 @@ def test_layer_mirror_symmetry_sweep():
         if m == 0:
             continue
         seen_mirrors += 1
+        kinds = _kinds(a, inst.run.b, c, m)
+        assert len(kinds) == len(pairs)
         for d in range(1, m + 1):
             lo, hi = pairs[c - d - a], pairs[c + d - a]
-            assert _kind(c - d, c, m) == MIRROR_LOW and _kind(c + d, c, m) == MIRROR_HIGH
+            assert kinds[c - d - a] == MIRROR_LOW and kinds[c + d - a] == MIRROR_HIGH
             x, xp = lo[1], hi[1]
             assert xp - x == d
             assert low <= x < xp <= low + 2 * m
