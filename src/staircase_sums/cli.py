@@ -32,7 +32,16 @@ from itertools import chain, groupby, islice, repeat
 from operator import gt, sub
 
 from . import oracle, render
-from .construct import KINDS, Partition, _kinds, difference_pairs, solve
+from .construct import (
+    EXACT,
+    MIRROR_HIGH,
+    MIRROR_LOW,
+    OPEN,
+    Partition,
+    _kinds,
+    difference_pairs,
+    solve,
+)
 from .runs import (
     ConsecutiveRun,
     Instance,
@@ -76,8 +85,7 @@ def _int_dicts(items, pad: str):
     """The pieces of ``items`` written by :func:`_records` if it is a list of
     dicts with the same str keys in the same order and only int values, each
     dict starting on a line indented by ``pad``; None for anything else."""
-    if isinstance(items, dict) or set(map(type, items)) != {dict} \
-            or len(set(map(tuple, items))) != 1:
+    if set(map(type, items)) != {dict} or len(set(map(tuple, items))) != 1:
         return None
     values = tuple(chain.from_iterable(map(dict.values, items)))
     if set(map(type, values)) != {int}:  # bools are written as true and false
@@ -125,7 +133,12 @@ def to_json(value, write, pad: str = "\n") -> None:
     else:
         inner = pad + "  "
         head = ("{" if isinstance(value, dict) else "[") + inner
-        pieces = value.json(inner) if isinstance(value, _Trace) else _int_dicts(value, inner)
+        if isinstance(value, _Trace):
+            pieces = value.json(inner)
+        elif isinstance(value, dict):
+            pieces = None
+        else:
+            pieces = _int_dicts(value, inner)
         if pieces is not None:
             for piece in pieces:
                 write(head + piece)
@@ -154,16 +167,11 @@ def _layer_ints(ns, as_, bs, cs, pairs, number: int | None):
     n, a, b, c, the ends of P and Q, the deficits, then target, low and high
     of each pair.
 
-    One layer is read field by field; more are read column by column, so that
-    their cost per layer stays in C, and lazily.
+    The layers are read column by column, so that their cost per layer stays
+    in C, and lazily.
     """
     numbers = () if number is None else range(number, number + len(ns))
     s = bs[0] - as_[0] + 1
-    if len(ns) == 1:
-        n, a, b, c = ns[0], as_[0], bs[0], cs[0]
-        return (*numbers, n, a, b, c, n - 2 * s + 1, n - s, n - s + 1, n,
-                *range(c - a, c - b - 1, -1),
-                *chain.from_iterable(map(tuple.__add__, zip(range(a, b + 1)), pairs[0])))
     heads = [numbers] if numbers else []
     heads += [ns, as_, bs, cs, map((1 - 2 * s).__add__, ns), map((-s).__add__, ns),
               map((1 - s).__add__, ns), ns]
@@ -210,7 +218,7 @@ class _Trace(list):
         i1, i2, i3, i4 = (pad + "  " * k for k in range(1, 5))
         sep = "," + i2
         pair = f'{{{i3}"target": %%d,{i3}"pair": [{i4}%%d,{i4}%%d{i3}],{i3}"kind": "%s"{i2}}}'
-        pair = {kind: pair % kind for kind in KINDS}
+        pair = {kind: pair % kind for kind in (MIRROR_LOW, EXACT, MIRROR_HIGH, OPEN)}
         before_s = f'{{{i1}"n": %d,{i1}"run": {{{i2}"a": %d,{i2}"b": %d{i1}}},{i1}"s": '
         after_s = (f',{i1}"c": %d,{i1}"p_range": [{i2}%d,{i2}%d{i1}],'
                    f'{i1}"q_range": [{i2}%d,{i2}%d{i1}],{i1}"deficits": [{i2}')
@@ -227,7 +235,8 @@ class _Trace(list):
     def text(self):
         """The text of the layers in pieces: each layer's state line, then one
         line per pair."""
-        pair = {kind: "\n  target %%d <- (%%d, %%d)  [%s]" % kind for kind in KINDS}
+        pair = {kind: "\n  target %%d <- (%%d, %%d)  [%s]" % kind
+                for kind in (MIRROR_LOW, EXACT, MIRROR_HIGH, OPEN)}
 
         def layer(s, m, low, kinds):
             return (

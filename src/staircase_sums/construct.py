@@ -46,7 +46,6 @@ MIRROR_LOW = "mirror-low"
 MIRROR_HIGH = "mirror-high"
 EXACT = "exact"
 OPEN = "open"
-KINDS = (MIRROR_LOW, EXACT, MIRROR_HIGH, OPEN)  # in the order they take a layer's targets
 
 
 def difference_pairs(m: int, low: int) -> tuple[tuple[int, int], ...]:
