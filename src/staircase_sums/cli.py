@@ -9,11 +9,12 @@ Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
 ``input`` and ``result`` dicts and the exit code, and, only without
 ``--json``, ``text_<command>(input_echo, result)`` gives the text lines from
 those same dicts, so text and JSON cannot disagree.  A trace is written
-straight from the per-layer int records that ``construct.solve`` returns.
-Runs of same-shaped records (the layers of a stretch, the run dicts of a
-``runs`` reply) are formatted in C through one ``%`` template each.  Once
-the handler and its checks are done, the reply goes to stdout piece by piece
-as it is formatted.
+straight from the per-layer int records that ``construct.solve`` returns,
+whose columns are read once, as lazy streams over the whole trace.  Runs of
+same-shaped records (the layers of a stretch, the run dicts of a ``runs``
+reply) are formatted in C through one ``%`` template each.  Once the handler
+and its checks are done, the reply goes to stdout piece by piece as it is
+formatted.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
 failed), 2 user error, 141 the reader closed stdout before the reply ended.
@@ -28,8 +29,8 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, groupby, islice, repeat
-from operator import gt, sub
+from itertools import chain, groupby, islice, repeat, tee
+from operator import le, sub
 
 from . import oracle, render
 from .construct import (
@@ -160,57 +161,45 @@ def _blocks_text(partition: Partition) -> list[str]:
             for t, block in sorted(partition.blocks.items())]
 
 
-def _layer_ints(ns, as_, bs, cs, pairs, number: int | None):
-    """The ints that a layer template takes from layers of one run length,
-    given as the columns n, a, b, c and pairs of their records, layer after
-    layer: the layer's number (counting from ``number``, if it is not None),
-    n, a, b, c, the ends of P and Q, the deficits, then target, low and high
-    of each pair.
-
-    The layers are read column by column, so that their cost per layer stays
-    in C, and lazily.
-    """
-    numbers = () if number is None else range(number, number + len(ns))
-    s = bs[0] - as_[0] + 1
-    heads = [numbers] if numbers else []
-    heads += [ns, as_, bs, cs, map((1 - 2 * s).__add__, ns), map((-s).__add__, ns),
-              map((1 - s).__add__, ns), ns]
-    # the deficits c - a down to c - b, and (target, low, high) for each pair
-    deficits = map(range, map(sub, cs, as_), map(sub, cs, map((s).__add__, as_)), repeat(-1))
-    targets = zip(chain.from_iterable(map(range, as_, map((1).__add__, bs))))
-    assignments = chain.from_iterable(map(tuple.__add__, targets, chain.from_iterable(pairs)))
-    rows = zip(zip(*heads), deficits, zip(*[assignments] * (3 * s)))
-    return chain.from_iterable(chain.from_iterable(rows))
-
-
 class _Trace(list):
     """The solver's layer records ``(n, a, b, c, m, low, pairs)``, which
     :func:`to_json` writes as JSON and ``text_partition`` as text.
 
-    Consecutive layers of one shape (run length, window, and the kinds of
-    their targets) are written through one template by :func:`_records`: a
-    stretch of plain layers is one group, and each other layer is a group of
-    its own.  Both writers take the same ints (:func:`_layer_ints`).
+    Both writers read the records column by column in one pass, so that their
+    cost per layer stays in C, and lazily.  Consecutive layers of one shape
+    (run length, window, and the kinds of their targets) are written through
+    one template by :func:`_records`: a stretch of plain layers is one group,
+    and each other layer is a group of its own.
     """
 
     def _write(self, layer, sep: str, numbered: bool):
         """The layers in pieces, with ``sep`` between them: ``layer(s, m, low,
-        kinds)`` gives the template of a layer of that shape, whose ints
-        :func:`_layer_ints` gives, led by the layer's number if ``numbered``."""
+        kinds)`` gives the template of a layer of that shape, which takes the
+        layer's number (if ``numbered``), n, a, b, c, the ends of P and Q, the
+        deficits, then target, low and high of each pair."""
         if not self:
             return
         ns, as_, bs, cs, ms, lows, pairs = zip(*self)
-        start = 0
-        # run length, window, and whether a > c fix the kinds of a layer's targets
-        for (s, m, low, _), group in groupby(zip(map(sub, bs, as_), ms, lows, map(gt, as_, cs))):
-            stop = start + len(list(group))
+        # each layer's pairs sum to c, so with s = b - a + 1 it has
+        # P = [c - n..c - (n - s + 1)] and Q = [n - s + 1..n]
+        q_lows, q_lows_too = tee(map(sub, ns, map(sub, bs, as_)))
+        numbers = [range(1, len(self) + 1)] if numbered else []
+        heads = zip(*numbers, ns, as_, bs, cs, map(sub, cs, ns), map(sub, cs, q_lows),
+                    q_lows_too, ns)
+        # the deficits c - a down to c - b, and target, low and high of each pair
+        deficits = map(range, map(sub, cs, as_), map(sub, cs, map((1).__add__, bs)), repeat(-1))
+        ends = chain.from_iterable(chain.from_iterable(pairs))
+        targets = chain.from_iterable(map(range, as_, map((1).__add__, bs)))
+        triples = chain.from_iterable(zip(targets, ends, ends))
+        # run length, window, and whether a <= c fix the kinds of a layer's targets
+        shapes = zip(map(sub, bs, as_), ms, lows, map(le, as_, cs))
+        for (s, m, low, exact), group in groupby(shapes):
+            k = len(list(group))
             s += 1
-            template = layer(s, m, low, _kinds(as_[start], bs[start], cs[start], m))
-            values = _layer_ints(ns[start:stop], as_[start:stop], bs[start:stop], cs[start:stop],
-                                 pairs[start:stop], start + 1 if numbered else None)
-            width = (9 if numbered else 8) + 4 * s
-            yield from _records(template, sep, values, width, stop - start)
-            start = stop
+            rows = zip(islice(heads, k), deficits, zip(*[triples] * (3 * s)))
+            values = chain.from_iterable(chain.from_iterable(rows))
+            width = len(numbers) + 8 + 4 * s
+            yield from _records(layer(s, m, low, _kinds(s, m, exact)), sep, values, width, k)
 
     def json(self, pad: str):
         """The JSON objects of the layers in pieces, each layer starting on a

@@ -130,13 +130,12 @@ def _layer_step(
     return c, m, window_low, pairs, (n - 2 * s, max(m + 1, a - c), b - c)
 
 
-def _kinds(a: int, b: int, c: int, m: int) -> list[str]:
-    """The kind of each target a..b of a layer with pair sum c and window m:
-    the m below c and the m above it are met by difference pairs, c itself
-    (if a <= c) by one pair, and the rest stay open."""
-    exact = int(a <= c)
-    opened = b - a + 1 - 2 * m - exact
-    return [MIRROR_LOW] * m + [EXACT] * exact + [MIRROR_HIGH] * m + [OPEN] * opened
+def _kinds(s: int, m: int, exact: bool) -> list[str]:
+    """The kind of each of the s targets of a layer with window m, in order:
+    the m below the pair sum c and the m above it are met by difference
+    pairs, c itself (if ``exact``, that is a <= c) by one pair, and the rest
+    stay open."""
+    return [MIRROR_LOW] * m + [EXACT] * exact + [MIRROR_HIGH] * m + [OPEN] * (s - 2 * m - exact)
 
 
 def _check_pending(n: int, a: int, b: int, pending: int) -> None:
@@ -188,21 +187,20 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, list[tup
             k = (n - s) // (2 * s)
             step = 2 * s
             span = step * k
-            placed = []  # (block, index of the stretch's first element in it)
             for i, target in enumerate(targets):
                 block = blocks[target]
-                placed.append((block, len(block)))
                 block.extend(range(n - s - i, n - s - i - span, -step))
                 block.extend(range(n - s + 1 + i, n - s + 1 + i - span, -step))
             c = 2 * n - 2 * s + 1
             if want_trace:
                 # Layer j has pair sum c - 4sj, which it takes off every amount,
                 # and gave target i the j-th term of each of its progressions;
-                # the pairs come from slices of the blocks, so that trace and
-                # blocks share the ints.
+                # the pairs come from the last 2k elements of the blocks, so
+                # that trace and blocks share the ints.
                 sums = range(c, c - 2 * span, -2 * step)
                 starts = list(accumulate(sums[:-1], sub, initial=a))
-                pairs = zip(*[zip(block[x:x + k], block[x + k:]) for block, x in placed])
+                pairs = zip(*[zip(block[-2 * k:-k], block[-k:])
+                              for block in map(blocks.get, targets)])
                 records.extend(zip(range(n, n - span, -step), starts, map((s - 1).__add__, starts),
                                    sums, repeat(0), repeat(None), map(list, pairs)))
             # The pending sum minus 1 + ... + n is a quadratic in the layer

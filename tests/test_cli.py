@@ -438,6 +438,8 @@ def _trace_text(trace: list[dict]) -> list[str]:
 @example(300, 22)  # [15049..15051]: a stretch of 49 layers of width 3, 7 per piece
 @example(9, 4)  # [22..23]: a stretch of one layer of width 2 and a closing layer
 @example(12, 2)  # [25..27]: a stretch of one layer of width 3
+@example(98, 9)  # [261..278]: two layers of width 18, then two of width 2
+@example(80, 5)  # [209..223]: groups of 2, 2 and 1 layers
 def test_layer_record_writers_match_the_trace_writers(n, pick):
     runs = enumerate_runs(triangular(n))
     inst = Instance(n, runs[pick % len(runs)])

@@ -198,7 +198,7 @@ def test_layer_worked_example():
     assert sorted(p for p, _ in pairs) == list(range(3, 9))
     assert sorted(q for _, q in pairs) == list(range(9, 15))
     assert reduced == (2, 3, 3)
-    assert _kinds(15, 20, c, m) == [
+    assert _kinds(6, m, 15 <= c) == [
         MIRROR_LOW,
         MIRROR_LOW,
         EXACT,
@@ -218,7 +218,7 @@ def test_layer_all_positive_deficits():
     # a > c: no zero-deficit target, every pair stays open
     c, m, low, pairs, reduced = _layer_step(9, 22, 23)
     assert (c, m, low) == (15, 0, None)
-    assert _kinds(22, 23, c, m) == [OPEN, OPEN]
+    assert _kinds(2, m, 22 <= c) == [OPEN, OPEN]
     assert pairs == [(7, 8), (6, 9)]
     assert reduced == (5, 7, 8)
 
@@ -250,7 +250,7 @@ def test_layer_mirror_symmetry_sweep():
         if m == 0:
             continue
         seen_mirrors += 1
-        kinds = _kinds(a, inst.run.b, c, m)
+        kinds = _kinds(inst.run.b - a + 1, m, a <= c)
         assert len(kinds) == len(pairs)
         for d in range(1, m + 1):
             lo, hi = pairs[c - d - a], pairs[c + d - a]
