@@ -10,14 +10,16 @@ Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
 ``--json``, ``text_<command>(input_echo, result)`` gives the text lines from
 those same dicts, so text and JSON cannot disagree.  A trace is written
 straight from the per-layer int records that ``construct.solve`` returns,
-whose columns are read once, as lazy streams over the whole trace.  Runs of
-same-shaped records (the layers of a stretch, the run dicts of a ``runs``
-reply) are formatted in C through one ``%`` template each.  Once the handler
-and its checks are done, the reply goes to stdout piece by piece as it is
-formatted.
+whose columns are read once, as lazy streams over the whole trace, and the
+runs of a ``runs`` reply straight from its :class:`ConsecutiveRun` objects.
+Both are record lists that declare their shape (``_Trace``, ``_Runs``), so
+each group of same-shaped records (the layers of a stretch, all the runs) is
+formatted in C through one ``%`` template.  Once the handler and its checks
+are done, the reply goes to stdout piece by piece as it is formatted.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
-failed), 2 user error, 141 the reader closed stdout before the reply ended.
+failed), 2 user error, 130 interrupted (Ctrl-C), 141 the reader closed stdout
+before the reply ended.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
 from itertools import chain, groupby, islice, repeat, tee
-from operator import le, sub
+from operator import attrgetter, le, sub
 
 from . import oracle, render
 from .construct import (
@@ -82,20 +84,6 @@ def _records(template: str, sep: str, values, width: int, count: int):
         yield sep.join([template] * take) % tuple(islice(values, take * width))
 
 
-def _int_dicts(items, pad: str):
-    """The pieces of ``items`` written by :func:`_records` if it is a list of
-    dicts with the same str keys in the same order and only int values, each
-    dict starting on a line indented by ``pad``; None for anything else."""
-    if set(map(type, items)) != {dict} or len(set(map(tuple, items))) != 1:
-        return None
-    values = tuple(chain.from_iterable(map(dict.values, items)))
-    if set(map(type, values)) != {int}:  # bools are written as true and false
-        return None
-    keys = [encode_basestring_ascii(key).replace("%", "%%") for key in items[0]]
-    template = "{" + ",".join(f"{pad}  {key}: %d" for key in keys) + pad + "}"
-    return _records(template, "," + pad, values, len(keys), len(items))
-
-
 def to_json(value, write, pad: str = "\n") -> None:
     """Write ``value`` as JSON indented by two spaces, byte for byte as the
     stdlib ``json.dumps`` writes it with that indent, for what an envelope holds.
@@ -103,12 +91,11 @@ def to_json(value, write, pad: str = "\n") -> None:
     ``write`` takes the pieces in order; ``pad`` is a newline plus the
     indentation of the line ``value`` starts on.  The stdlib drops to its
     pure-Python encoder whenever an indent is set; this writer makes one call
-    per container and formats in C each flat sequence of ints (:func:`_ints`)
-    and each list of dicts with the same keys and int values
-    (:func:`_int_dicts`).  A :class:`Partition` is written as its blocks
-    object and a :class:`_Trace` as the list of its layers.  Like the stdlib,
-    it raises TypeError on any other type; it also raises it on a key that is
-    not a str, and ValueError on NaN or infinity.
+    per container.  A :class:`Partition` is written as its blocks object, the
+    ints of each block formatted in C (:func:`_ints`), and a declared record
+    list, a :class:`_Trace` or :class:`_Runs`, through its ``json`` method.
+    Like the stdlib, it raises TypeError on any other type; it also raises it
+    on a key that is not a str, and ValueError on NaN or infinity.
     """
     if isinstance(value, str):
         text = encode_basestring_ascii(value)
@@ -129,19 +116,11 @@ def to_json(value, write, pad: str = "\n") -> None:
         text = "{" + ",".join(
             f'{i1}"{t}": ' + (f"[{i2}" + _ints(block, "," + i2) + i1 + "]" if block else "[]")
             for t, block in sorted(value.blocks.items())) + pad + "}"
-    elif isinstance(value, (list, tuple)) and set(map(type, value)) == {int}:
-        text = "[" + pad + "  " + _ints(value, "," + pad + "  ") + pad + "]"
     else:
         inner = pad + "  "
         head = ("{" if isinstance(value, dict) else "[") + inner
-        if isinstance(value, _Trace):
-            pieces = value.json(inner)
-        elif isinstance(value, dict):
-            pieces = None
-        else:
-            pieces = _int_dicts(value, inner)
-        if pieces is not None:
-            for piece in pieces:
+        if isinstance(value, (_Trace, _Runs)):
+            for piece in value.json(inner):
                 write(head + piece)
                 head = "," + inner
         else:
@@ -237,21 +216,38 @@ class _Trace(list):
         return self._write(layer, "\n", True)
 
 
+class _Runs(list):
+    """The :class:`ConsecutiveRun` objects of a ``runs`` reply, which
+    :func:`to_json` writes as JSON objects and ``text_runs`` as lines, every
+    run through one template by :func:`_records`."""
+
+    def json(self, pad: str):
+        """The runs' JSON objects in pieces, each starting on a line indented
+        by ``pad``."""
+        i1 = pad + "  "
+        a, b = attrgetter("a"), attrgetter("b")
+        lengths = map((1).__add__, map(sub, map(b, self), map(a, self)))
+        values = chain.from_iterable(zip(map(a, self), map(b, self), lengths))
+        template = f'{{{i1}"a": %d,{i1}"b": %d,{i1}"length": %d{pad}}}'
+        return _records(template, "," + pad, values, 3, len(self))
+
+    def text(self, value: int):
+        """The runs' lines ``  value = [a..b]`` in pieces."""
+        values = chain.from_iterable(map(attrgetter("a", "b"), self))
+        return _records(f"  {value} = [%d..%d]", "\n", values, 2, len(self))
+
+
 def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict, int]:
-    runs = enumerate_runs(args.n)
-    result = {
-        # enumerate_runs builds exactly one run per odd divisor
-        "odd_divisor_count": len(runs),
-        "runs": [{"a": r.a, "b": r.b, "length": r.length()} for r in runs],
-    }
-    return {"n": args.n}, result, 0
+    runs = _Runs(enumerate_runs(args.n))
+    # enumerate_runs builds exactly one run per odd divisor
+    return {"n": args.n}, {"odd_divisor_count": len(runs), "runs": runs}, 0
 
 
 def text_runs(input_echo: dict, result: dict):
     value = input_echo["n"]
     yield (f"{value} has {len(result['runs'])} consecutive-run representations "
            f"(odd divisors: {result['odd_divisor_count']})")
-    yield from (f"  {value} = [{r['a']}..{r['b']}]" for r in result["runs"])
+    yield from result["runs"].text(value)
 
 
 def cmd_partition(args: argparse.Namespace) -> tuple[dict, dict, int]:
@@ -354,11 +350,11 @@ def _selftest_checks(max_n: int):
             runs = enumerate_runs(value)
             expected = sieve[value]
             if len(runs) != expected:
-                return value, f"run count != odd divisor count at {value}"
+                return value - 1, f"run count != odd divisor count at {value}"
             if any(r.sum() != value for r in runs):
-                return value, f"run does not sum to {value}"
+                return value - 1, f"run does not sum to {value}"
             if value <= brute_limit and brute[value] != expected:
-                return value, f"window scan disagrees at {value}"
+                return value - 1, f"window scan disagrees at {value}"
         return limit, None
 
     def sweep_pairs() -> tuple[int, str | None]:
@@ -486,6 +482,8 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # raised, so that an in-process caller stops too
+        raise SystemExit(130) from None
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     if sys.stdout is None:  # started with stdout closed: there is nowhere to write
@@ -504,6 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the rest, and the flush at exit, go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except KeyboardInterrupt:
+        raise SystemExit(130) from None
     return code
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -29,6 +31,8 @@ GOLDEN_COMMANDS = {
     "runs_15.json": ["runs", 15],
     "runs_1.json": ["runs", 1],
     "runs_8.json": ["runs", 8],
+    # 48 runs, written in 8 pieces of 6
+    "runs_720720.json": ["runs", 720720],
     "partition_14_15_20.json": ["partition", 14, 15, 20],
     "partition_14_15_20_trace.json": ["partition", 14, 15, 20, "--trace"],
     # a stretch of plain layers and a closing layer
@@ -289,6 +293,34 @@ def test_selftest_that_fails_a_sweep_exits_1(monkeypatch, capsys, envelope_schem
     assert payload["result"]["ok"] is False
 
 
+def test_selftest_counts_only_the_passed_cases_of_a_failed_sweep(monkeypatch, capsys):
+    enumerate_runs = cli.enumerate_runs
+
+    def drops_a_run_at_7(value):
+        runs = enumerate_runs(value)
+        return runs[1:] if value == 7 else runs
+
+    monkeypatch.setattr(cli, "enumerate_runs", drops_a_run_at_7)
+    assert cli.main(["selftest", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "  run-bijection: FAIL after 6 cases: run count != odd divisor count at 7\n" in out
+    assert cli.main(["selftest", "4", "--json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert [(c["name"], c["cases"], c["ok"]) for c in checks] == [
+        ("solve-verify", 7, True), ("run-bijection", 6, False)]
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    def interrupted(inst, want_trace=False):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "solve", interrupted)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["partition", "14", "15", "20"])
+    assert exc.value.code == 130
+    assert capsys.readouterr() == ("", "")
+
+
 _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€\U0001f600') | st.characters())
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | _TEXT
@@ -345,9 +377,8 @@ def test_partition_without_blocks_is_an_empty_object():
 
 
 # Lists of dicts with one key set and int values, which cli.to_json writes
-# through one template, with at times one item of another shape that must
-# send the list down the general path: a bool, its keys in another order, or
-# one key more.
+# through its general path, one piece per key, with at times one item of
+# another shape: a bool, its keys in another order, or one key more.
 _KEYS = st.lists(st.text(st.sampled_from('%d"\\/\x00\n é\U0001f600')), min_size=1, max_size=4,
                  unique=True)
 
@@ -504,3 +535,33 @@ def test_json_replies_are_stdlib_indent_2(capsys, args):
     assert cli.main([*map(str, args), "--json"]) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def _reply(argv: list[str]) -> str:
+    """The stdout of ``cli.main(argv)``, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+# Reference `runs` replies, built from a dict and an f-string line per run;
+# cli._Runs writes the same bytes straight from the ConsecutiveRun objects.
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**12))
+@example(1)
+@example(2**40)
+@example(720720)
+@example(6181604729214089175)  # 46,080 runs
+def test_runs_replies_match_per_run_references(value):
+    runs = enumerate_runs(value)
+    envelope = {
+        "schema_version": cli.SCHEMA_VERSION, "command": "runs", "input": {"n": value},
+        "result": {"odd_divisor_count": len(runs),
+                   "runs": [{"a": r.a, "b": r.b, "length": r.length()} for r in runs]},
+    }
+    reply = _reply(["runs", str(value), "--json", "--no-timing"])
+    assert reply == json.dumps(envelope, indent=2) + "\n"
+    lines = [f"{value} has {len(runs)} consecutive-run representations "
+             f"(odd divisors: {len(runs)})", *(f"  {value} = [{r.a}..{r.b}]" for r in runs)]
+    assert _reply(["runs", str(value)]) == "".join(line + "\n" for line in lines)
