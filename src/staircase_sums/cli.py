@@ -225,9 +225,8 @@ class _Runs(list):
         """The runs' JSON objects in pieces, each starting on a line indented
         by ``pad``."""
         i1 = pad + "  "
-        a, b = attrgetter("a"), attrgetter("b")
-        lengths = map((1).__add__, map(sub, map(b, self), map(a, self)))
-        values = chain.from_iterable(zip(map(a, self), map(b, self), lengths))
+        a, b = map(attrgetter("a"), self), map(attrgetter("b"), self)
+        values = chain.from_iterable(zip(a, b, map(ConsecutiveRun.length, self)))
         template = f'{{{i1}"a": %d,{i1}"b": %d,{i1}"length": %d{pad}}}'
         return _records(template, "," + pad, values, 3, len(self))
 
@@ -482,8 +481,6 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:  # raised, so that an in-process caller stops too
-        raise SystemExit(130) from None
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     if sys.stdout is None:  # started with stdout closed: there is nowhere to write
@@ -502,9 +499,16 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the rest, and the flush at exit, go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except KeyboardInterrupt:
-        raise SystemExit(130) from None
     return code
 
+
+def run() -> int:
+    """The process entry: :func:`main`, with Ctrl-C ending in exit 130 and no traceback."""
+    try:
+        return main()
+    except KeyboardInterrupt:  # main lets it through, so that an in-process caller stops
+        return 130
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -310,15 +313,30 @@ def test_selftest_counts_only_the_passed_cases_of_a_failed_sweep(monkeypatch, ca
         ("solve-verify", 7, True), ("run-bijection", 6, False)]
 
 
-def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
-    def interrupted(inst, want_trace=False):
-        raise KeyboardInterrupt
+def _interrupted(inst, want_trace=False):
+    raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "solve", interrupted)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["partition", "14", "15", "20"])
-    assert exc.value.code == 130
+
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve", _interrupted)
+    monkeypatch.setattr(sys, "argv", ["staircase-sums", "partition", "14", "15", "20"])
+    assert cli.run() == 130
     assert capsys.readouterr() == ("", "")
+
+
+def test_interrupt_stops_an_in_process_caller(monkeypatch):
+    # the benchmark harness calls main once per request and records any exit
+    # code as that request's failure; an interrupt must end the whole pass
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", Path(__file__).parent.parent / "perfbench" / "run.py")
+    harness = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, harness)  # for its dataclasses
+    spec.loader.exec_module(harness)
+    monkeypatch.setattr(cli, "solve", _interrupted)
+    result = harness.Replay(size=1)
+    with pytest.raises(KeyboardInterrupt):
+        harness.run_pass([SimpleNamespace(argv=("partition", "14", "15", "20"))], cli.main, result)
+    assert result.failed == 0
 
 
 _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€\U0001f600') | st.characters())
