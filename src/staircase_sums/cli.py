@@ -10,12 +10,12 @@ Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
 ``--json``, ``text_<command>(input_echo, result)`` gives the text lines from
 those same dicts, so text and JSON cannot disagree.  A trace is written
 straight from the per-layer int records that ``construct.solve`` returns,
-whose columns are read once, as lazy streams over the whole trace, and the
-runs of a ``runs`` reply straight from its :class:`ConsecutiveRun` objects.
-Both are record lists that declare their shape (``_Trace``, ``_Runs``), so
-each group of same-shaped records (the layers of a stretch, all the runs) is
-formatted in C through one ``%`` template.  Once the handler and its checks
-are done, the reply goes to stdout piece by piece as it is formatted.
+whose columns are read once and sliced for each piece, and the runs of a
+``runs`` reply straight from its :class:`ConsecutiveRun` objects.  Both are
+record lists that declare their shape (``_Trace``, ``_Runs``), so each group
+of same-shaped records (the layers of a stretch, all the runs) is formatted
+through one bytes ``%`` template.  Once the handler and its checks are done,
+the reply goes to stdout piece by piece as it is formatted.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
 failed), 2 user error, 130 interrupted (Ctrl-C), 141 the reader closed stdout
@@ -31,7 +31,7 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, groupby, islice, repeat, tee
+from itertools import chain, groupby, islice
 from operator import attrgetter, le, sub
 
 from . import oracle, render
@@ -65,23 +65,27 @@ LIST_MAX_LIMIT = 10_000  # largest --limit that count --list accepts
 
 
 def _ints(values, sep: str) -> str:
-    """The ints of ``values`` in decimal with ``sep`` between them, formatted in C."""
-    values = tuple(values)
-    return (("%d" + sep) * len(values) % values)[:-len(sep)]
+    """The ints of ``values`` in decimal with ``sep`` between them, through one
+    bytes ``%`` template (see :func:`_records`)."""
+    values, sep = tuple(values), sep.encode()
+    return ((b"%d" + sep) * len(values) % values)[:-len(sep)].decode()
 
 
-def _records(template: str, sep: str, values, width: int, count: int):
-    """``count`` records with ``sep`` between them, each formatted in C through
-    the one ``%`` template from the next ``width`` ints of ``values``.
+def _records(template: str, sep: str, lo: int, hi: int, ints):
+    """The records ``lo`` to ``hi - 1``, with ``sep`` between them, each formatted
+    through the one ``%`` template; ``ints(start, stop)``, called for each piece
+    in order, gives the ints of the records ``start`` to ``stop - 1``.
 
-    Yields them about sqrt(count) records at a time, so that a long batch is
-    never held whole as text; the caller puts ``sep`` between the pieces.
+    Yields about sqrt(hi - lo) records a piece, so that a long batch is never
+    held whole as text; the caller puts ``sep`` between the pieces.  The
+    template is applied as bytes, whose ``%`` copies the text between fields
+    with ``memcpy``, where str ``%`` scans it one character at a time.
     """
-    values = iter(values)
-    size = math.isqrt(count)
-    for done in range(0, count, size):
-        take = min(size, count - done)
-        yield sep.join([template] * take) % tuple(islice(values, take * width))
+    template, sep = template.encode(), sep.encode()
+    size = math.isqrt(hi - lo)
+    for start in range(lo, hi, size):
+        stop = min(start + size, hi)
+        yield (sep.join([template] * (stop - start)) % tuple(ints(start, stop))).decode()
 
 
 def to_json(value, write, pad: str = "\n") -> None:
@@ -92,7 +96,7 @@ def to_json(value, write, pad: str = "\n") -> None:
     indentation of the line ``value`` starts on.  The stdlib drops to its
     pure-Python encoder whenever an indent is set; this writer makes one call
     per container.  A :class:`Partition` is written as its blocks object, the
-    ints of each block formatted in C (:func:`_ints`), and a declared record
+    ints of each block through :func:`_ints`, and a declared record
     list, a :class:`_Trace` or :class:`_Runs`, through its ``json`` method.
     Like the stdlib, it raises TypeError on any other type; it also raises it
     on a key that is not a str, and ValueError on NaN or infinity.
@@ -144,11 +148,12 @@ class _Trace(list):
     """The solver's layer records ``(n, a, b, c, m, low, pairs)``, which
     :func:`to_json` writes as JSON and ``text_partition`` as text.
 
-    Both writers read the records column by column in one pass, so that their
-    cost per layer stays in C, and lazily.  Consecutive layers of one shape
-    (run length, window, and the kinds of their targets) are written through
-    one template by :func:`_records`: a stretch of plain layers is one group,
-    and each other layer is a group of its own.
+    Consecutive layers of one shape (run length, window, and the kinds of
+    their targets) are written through one template by :func:`_records`: a
+    stretch of plain layers is one group, and each other layer is a group of
+    its own.  Both writers read the records' columns once, and lay out each
+    piece's ints by strided slice assignment from slices of those columns, so
+    that their cost per layer stays in C.
     """
 
     def _write(self, layer, sep: str, numbered: bool):
@@ -159,26 +164,45 @@ class _Trace(list):
         if not self:
             return
         ns, as_, bs, cs, ms, lows, pairs = zip(*self)
-        # each layer's pairs sum to c, so with s = b - a + 1 it has
-        # P = [c - n..c - (n - s + 1)] and Q = [n - s + 1..n]
-        q_lows, q_lows_too = tee(map(sub, ns, map(sub, bs, as_)))
-        numbers = [range(1, len(self) + 1)] if numbered else []
-        heads = zip(*numbers, ns, as_, bs, cs, map(sub, cs, ns), map(sub, cs, q_lows),
-                    q_lows_too, ns)
-        # the deficits c - a down to c - b, and target, low and high of each pair
-        deficits = map(range, map(sub, cs, as_), map(sub, cs, map((1).__add__, bs)), repeat(-1))
-        ends = chain.from_iterable(chain.from_iterable(pairs))
-        targets = chain.from_iterable(map(range, as_, map((1).__add__, bs)))
-        triples = chain.from_iterable(zip(targets, ends, ends))
+
+        def ints(lo, hi):
+            # the ints of layers lo to hi - 1, which share one run length s, laid
+            # out by slice assignment from column slices, along the shorter axis
+            t, s = hi - lo, bs[lo] - as_[lo] + 1
+            n, a, c = ns[lo:hi], as_[lo:hi], cs[lo:hi]
+            # each layer's pairs sum to c, so with Q = [q..n] it has P = [c - n..c - q]
+            q = list(map((1 - s).__add__, n))
+            heads = [range(lo + 1, hi + 1)] * numbered + [
+                n, a, bs[lo:hi], c, map(sub, c, n), map(sub, c, q), q, n]
+            d, e = len(heads), len(heads) + s  # where the deficits and the triples start
+            width = e + 3 * s
+            flat = [0] * (t * width)
+            for j, column in enumerate(heads):
+                flat[j::width] = column
+            ends = list(chain.from_iterable(chain.from_iterable(pairs[lo:hi])))
+            if s <= t:  # target i: deficit c - a - i, target a + i, pair ends[2i], ends[2i + 1]
+                deficits = list(map(sub, c, a))
+                for i in range(s):
+                    flat[d + i::width] = map((-i).__add__, deficits)
+                    flat[e + 3 * i::width] = map(i.__add__, a)
+                    flat[e + 3 * i + 1::width] = ends[2 * i::2 * s]
+                    flat[e + 3 * i + 2::width] = ends[2 * i + 1::2 * s]
+            else:  # layer r: deficits c - a down to c - b, targets a to b, pairs from ends[2sr]
+                for r, first, deficit in zip(range(t), a, map(sub, c, a)):
+                    row, end = r * width, 2 * s * r
+                    flat[row + d:row + e] = range(deficit, deficit - s, -1)
+                    flat[row + e:row + width:3] = range(first, first + s)
+                    flat[row + e + 1:row + width:3] = ends[end:end + 2 * s:2]
+                    flat[row + e + 2:row + width:3] = ends[end + 1:end + 2 * s:2]
+            return flat
+
         # run length, window, and whether a <= c fix the kinds of a layer's targets
         shapes = zip(map(sub, bs, as_), ms, lows, map(le, as_, cs))
+        lo = 0
         for (s, m, low, exact), group in groupby(shapes):
-            k = len(list(group))
-            s += 1
-            rows = zip(islice(heads, k), deficits, zip(*[triples] * (3 * s)))
-            values = chain.from_iterable(chain.from_iterable(rows))
-            width = len(numbers) + 8 + 4 * s
-            yield from _records(layer(s, m, low, _kinds(s, m, exact)), sep, values, width, k)
+            hi = lo + len(list(group))
+            yield from _records(layer(s + 1, m, low, _kinds(s + 1, m, exact)), sep, lo, hi, ints)
+            lo = hi
 
     def json(self, pad: str):
         """The JSON objects of the layers in pieces, each layer starting on a
@@ -228,12 +252,14 @@ class _Runs(list):
         a, b = map(attrgetter("a"), self), map(attrgetter("b"), self)
         values = chain.from_iterable(zip(a, b, map(ConsecutiveRun.length, self)))
         template = f'{{{i1}"a": %d,{i1}"b": %d,{i1}"length": %d{pad}}}'
-        return _records(template, "," + pad, values, 3, len(self))
+        return _records(template, "," + pad, 0, len(self),
+                        lambda lo, hi: islice(values, 3 * (hi - lo)))
 
     def text(self, value: int):
         """The runs' lines ``  value = [a..b]`` in pieces."""
         values = chain.from_iterable(map(attrgetter("a", "b"), self))
-        return _records(f"  {value} = [%d..%d]", "\n", values, 2, len(self))
+        return _records(f"  {value} = [%d..%d]", "\n", 0, len(self),
+                        lambda lo, hi: islice(values, 2 * (hi - lo)))
 
 
 def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict, int]:

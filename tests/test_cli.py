@@ -6,6 +6,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -390,6 +391,54 @@ def test_partition_writers_keep_their_bytes(partition):
     ]
 
 
+# Ints as the writers meet them: deficits of open targets are negative, and
+# ints are unbounded; and separators as the writers use them, or drawn: any
+# text that is not empty and holds no `%`.
+_INTS = (st.integers(-(10**6), 10**6) | st.integers(2**64, 2**80)
+         | st.integers(-(2**80), -(2**64)))
+_SEPARATORS = st.sampled_from([", ", ",", "\n", ",\n    ", ",\n      "]) | st.text(
+    st.characters(blacklist_characters="%", blacklist_categories=("Cs",)), min_size=1)
+
+
+@settings(max_examples=200)
+@given(st.lists(_INTS), _SEPARATORS)
+@example([-(2**64) - 1, 2**64, -1, 0, 1], ",\n    ")
+def test_ints_match_str_joins(values, sep):
+    assert cli._ints(values, sep) == sep.join(map(str, values))
+    assert cli._ints(iter(values), sep) == sep.join(map(str, values))
+
+
+@st.composite
+def _record_batches(draw):
+    """A template of any text with ``width`` fields, one to 40 records for it,
+    and the number of the first record."""
+    width = draw(st.integers(0, 6))
+    literals = st.text(st.characters(blacklist_categories=("Cs",))).map(
+        lambda text: text.replace("%", "%%"))
+    template = "%d".join(draw(literals) for _ in range(width + 1))
+    rows = draw(st.lists(st.tuples(*[_INTS] * width), min_size=1, max_size=40))
+    return template, rows, draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=200)
+@given(_record_batches(), _SEPARATORS)
+@example(('{\n  "a": %d,\n  "b": %d\n}', [(-(2**64), 2**64 + 1)] * 17, 3), ",\n")
+def test_records_match_str_formatting_per_record(batch, sep):
+    template, rows, lo = batch
+    asked = []
+
+    def ints(start, stop):
+        asked.append((start, stop))
+        return [value for row in rows[start - lo:stop - lo] for value in row]
+
+    pieces = list(cli._records(template, sep, lo, lo + len(rows), ints))
+    assert sep.join(pieces) == sep.join(template % row for row in rows)
+    # the records are asked for in order, each once, about sqrt(count) a piece
+    assert [start for start, _ in asked] == [lo, *(stop for _, stop in asked[:-1])]
+    assert asked[-1][1] == lo + len(rows)
+    assert {stop - start for start, stop in asked[:-1]} <= {math.isqrt(len(rows))}
+
+
 def test_partition_without_blocks_is_an_empty_object():
     assert _written(Partition(1, ConsecutiveRun(1, 1), {})) == json.dumps({}, indent=2)
 
@@ -489,6 +538,7 @@ def _trace_text(trace: list[dict]) -> list[str]:
 @example(12, 2)  # [25..27]: a stretch of one layer of width 3
 @example(98, 9)  # [261..278]: two layers of width 18, then two of width 2
 @example(80, 5)  # [209..223]: groups of 2, 2 and 1 layers
+@example(610, 12)  # [18631..18640]: 30 layers of width 10, 5 per piece, each laid out per layer
 def test_layer_record_writers_match_the_trace_writers(n, pick):
     runs = enumerate_runs(triangular(n))
     inst = Instance(n, runs[pick % len(runs)])
