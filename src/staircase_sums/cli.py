@@ -31,20 +31,11 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, groupby, islice
+from itertools import chain, groupby, islice, repeat
 from operator import attrgetter, le, sub
 
 from . import oracle, render
-from .construct import (
-    EXACT,
-    MIRROR_HIGH,
-    MIRROR_LOW,
-    OPEN,
-    Partition,
-    _kinds,
-    difference_pairs,
-    solve,
-)
+from .construct import Partition, difference_pairs, solve
 from .runs import (
     ConsecutiveRun,
     Instance,
@@ -156,19 +147,22 @@ class _Trace(list):
     that their cost per layer stays in C.
     """
 
-    def _write(self, layer, sep: str, numbered: bool):
+    def _write(self, layer, pair: str, sep: str, numbered: bool):
         """The layers in pieces, with ``sep`` between them: ``layer(s, m, low,
-        kinds)`` gives the template of a layer of that shape, which takes the
-        layer's number (if ``numbered``), n, a, b, c, the ends of P and Q, the
-        deficits, then target, low and high of each pair."""
+        pairs)`` gives the template of a layer of that shape from ``pairs``,
+        its targets' ``pair`` templates, in order, each with its target's
+        kind for ``%s``.  The layer template takes the layer's number (if
+        ``numbered``), n, a, b, c, the ends of P and Q, the deficits, then
+        target, low and high of each pair."""
         if not self:
             return
         ns, as_, bs, cs, ms, lows, pairs = zip(*self)
+        kind_pairs = [pair % kind for kind in ("mirror-low", "exact", "mirror-high", "open")]
 
         def ints(lo, hi):
             # the ints of layers lo to hi - 1, which share one run length s, laid
             # out by slice assignment from column slices, along the shorter axis
-            t, s = hi - lo, bs[lo] - as_[lo] + 1
+            t, s = hi - lo, len(pairs[lo])
             n, a, c = ns[lo:hi], as_[lo:hi], cs[lo:hi]
             # each layer's pairs sum to c, so with Q = [q..n] it has P = [c - n..c - q]
             q = list(map((1 - s).__add__, n))
@@ -197,11 +191,15 @@ class _Trace(list):
             return flat
 
         # run length, window, and whether a <= c fix the kinds of a layer's targets
-        shapes = zip(map(sub, bs, as_), ms, lows, map(le, as_, cs))
+        shapes = zip(map(len, pairs), ms, lows, map(le, as_, cs))
         lo = 0
         for (s, m, low, exact), group in groupby(shapes):
             hi = lo + len(list(group))
-            yield from _records(layer(s + 1, m, low, _kinds(s + 1, m, exact)), sep, lo, hi, ints)
+            # the m targets below the pair sum c and the m above it are met by
+            # difference pairs, c itself (if a <= c) by one pair, and the rest stay open
+            counts = (m, exact, m, s - 2 * m - exact)
+            shape = layer(s, m, low, list(chain.from_iterable(map(repeat, kind_pairs, counts))))
+            yield from _records(shape, sep, lo, hi, ints)
             lo = hi
 
     def json(self, pad: str):
@@ -210,34 +208,31 @@ class _Trace(list):
         i1, i2, i3, i4 = (pad + "  " * k for k in range(1, 5))
         sep = "," + i2
         pair = f'{{{i3}"target": %%d,{i3}"pair": [{i4}%%d,{i4}%%d{i3}],{i3}"kind": "%s"{i2}}}'
-        pair = {kind: pair % kind for kind in (MIRROR_LOW, EXACT, MIRROR_HIGH, OPEN)}
         before_s = f'{{{i1}"n": %d,{i1}"run": {{{i2}"a": %d,{i2}"b": %d{i1}}},{i1}"s": '
         after_s = (f',{i1}"c": %d,{i1}"p_range": [{i2}%d,{i2}%d{i1}],'
                    f'{i1}"q_range": [{i2}%d,{i2}%d{i1}],{i1}"deficits": [{i2}')
 
-        def layer(s, m, low, kinds):
+        def layer(s, m, low, pairs):
             return (
                 f'{before_s}{s}{after_s}{sep.join(["%d"] * s)}{i1}],{i1}"m": {m},'
                 f'{i1}"l": {"null" if low is None else low},'
-                f'{i1}"assignments": [{i2}{sep.join(map(pair.get, kinds))}{i1}]{pad}}}'
+                f'{i1}"assignments": [{i2}{sep.join(pairs)}{i1}]{pad}}}'
             )
 
-        return self._write(layer, "," + pad, False)
+        return self._write(layer, pair, "," + pad, False)
 
     def text(self):
         """The text of the layers in pieces: each layer's state line, then one
         line per pair."""
-        pair = {kind: "\n  target %%d <- (%%d, %%d)  [%s]" % kind
-                for kind in (MIRROR_LOW, EXACT, MIRROR_HIGH, OPEN)}
 
-        def layer(s, m, low, kinds):
+        def layer(s, m, low, pairs):
             return (
                 f"layer %d: n=%d run=[%d..%d] s={s} c=%d P=[%d..%d] Q=[%d..%d] "
                 "deficits=[" + ",".join(["%d"] * s) + f"] m={m}"
                 f"{'' if low is None else f' l={low}'}"
-            ) + "".join(map(pair.get, kinds))
+            ) + "".join(pairs)
 
-        return self._write(layer, "\n", True)
+        return self._write(layer, "\n  target %%d <- (%%d, %%d)  [%s]", "\n", True)
 
 
 class _Runs(list):
@@ -301,12 +296,9 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if args.n > COUNT_MAX_N:
         raise ValueError(f"count accepts n <= {COUNT_MAX_N}, got n={args.n}")
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
-    cap = args.limit if args.limit is not None else DEFAULT_LIST_LIMIT
-    if not 1 <= cap <= LIST_MAX_LIMIT:
-        raise ValueError(f"--limit must be in 1..{LIST_MAX_LIMIT}, got {cap}")
-    count, partitions = oracle.enumerate_all(
-        inst, materialize=args.list, cap=cap if args.list else None
-    )
+    if not 1 <= args.limit <= LIST_MAX_LIMIT:
+        raise ValueError(f"--limit must be in 1..{LIST_MAX_LIMIT}, got {args.limit}")
+    count, partitions = oracle.enumerate_all(inst, args.limit if args.list else 0)
     result: dict = {"count": count}
     if args.list:
         result["partitions"] = partitions
@@ -471,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--list", action="store_true", help="also print the partitions")
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=int, default=DEFAULT_LIST_LIMIT,
                    help=f"max partitions to list (default {DEFAULT_LIST_LIMIT}, "
                         f"at most {LIST_MAX_LIMIT})")
     p.add_argument("--force", action="store_true",

@@ -42,11 +42,6 @@ from operator import sub
 
 from .runs import ConsecutiveRun, Instance, _Value
 
-MIRROR_LOW = "mirror-low"
-MIRROR_HIGH = "mirror-high"
-EXACT = "exact"
-OPEN = "open"
-
 
 def difference_pairs(m: int, low: int) -> tuple[tuple[int, int], ...]:
     """Build pairs with differences 1..m inside a window of 2m+1 consecutive integers.
@@ -128,14 +123,6 @@ def _layer_step(
     if n == 2 * s:
         assert b - c <= m, "residual targets but no elements left"
     return c, m, window_low, pairs, (n - 2 * s, max(m + 1, a - c), b - c)
-
-
-def _kinds(s: int, m: int, exact: bool) -> list[str]:
-    """The kind of each of the s targets of a layer with window m, in order:
-    the m below the pair sum c and the m above it are met by difference
-    pairs, c itself (if ``exact``, that is a <= c) by one pair, and the rest
-    stay open."""
-    return [MIRROR_LOW] * m + [EXACT] * exact + [MIRROR_HIGH] * m + [OPEN] * (s - 2 * m - exact)
 
 
 def _check_pending(n: int, a: int, b: int, pending: int) -> None:

@@ -128,18 +128,15 @@ def _count_partitions(n: int, targets: tuple[int, ...]) -> int:
     return count
 
 
-def _list_partitions(
-    n: int, targets: tuple[int, ...], cap: int
-) -> list[tuple[tuple[int, ...], ...]]:
+def _list_partitions(inst: Instance, cap: int) -> list[Partition]:
     """The first ``cap`` partitions in search order: elements n..1, targets ascending.
 
     An iterative depth-first search over per-target deficits.  A state whose
     subtree it searched to the end without finding a partition has no
     completion; it is remembered and never entered again, so the search takes
-    about n steps per partition plus one visit per such dead state.  Each
-    partition is a tuple of per-target element tuples (targets ascending,
-    elements ascending).
+    about n steps per partition plus one visit per such dead state.
     """
+    n, targets = inst.n, tuple(inst.run.values())
     s = len(targets)
     deficits = list(targets)
     owner = [0] * (n + 1)
@@ -148,14 +145,14 @@ def _list_partitions(
     found = [0] * (n + 1)  # found[e]: partitions listed when the search entered states[e]
     steps: list[dict] = [{}] * (n + 1)  # steps[e]: deficit -> next state, for states[e]
     dead: set[tuple[int, ...]] = set()
-    out: list[tuple[tuple[int, ...], ...]] = []
+    out: list[Partition] = []
     e, ti = n, 0
     while len(out) < cap:
         if e == 0:
             blocks: list[list[int]] = [[] for _ in range(s)]
             for x in range(1, n + 1):
                 blocks[owner[x]].append(x)
-            out.append(tuple(tuple(blk) for blk in blocks))
+            out.append(Partition(n, inst.run, dict(zip(targets, map(tuple, blocks)))))
         else:
             if ti == 0:  # the search has just entered states[e]
                 steps[e] = {d: nxt for d, _, nxt in _moves(states[e], e)}
@@ -184,11 +181,7 @@ def _list_partitions(
     return out
 
 
-def enumerate_all(
-    inst: Instance,
-    materialize: bool = False,
-    cap: int | None = None,
-) -> tuple[int, list[Partition] | None]:
+def enumerate_all(inst: Instance, limit: int | None = 0) -> tuple[int, list[Partition]]:
     """Count every partition of {1..n} realizing the instance's run.
 
     Elements are placed in descending order n..1, each into a target whose
@@ -198,27 +191,21 @@ def enumerate_all(
     with their multiplicity: the work follows the number of distinct states,
     not of partitions.  The count is always exact.
 
-    With ``materialize`` the first ``cap`` partitions (all of them when
-    ``cap`` is None) are returned as well, in the order of a search that
-    branches over targets in ascending order.  That search remembers the
-    states it found to have no completion and skips them, so listing K
-    partitions costs about K * n steps plus one visit per such state.
+    The count comes with a list of the first ``limit`` partitions: all of
+    them when ``limit`` is None, and none, without a search, when it is 0.
+    They are listed in the order of a search that branches over targets in
+    ascending order.  That search remembers the states it found to have no
+    completion and skips them, so listing K partitions costs about K * n
+    steps plus one visit per such state.
 
     The count is refused with ValueError once it has built more than
     ``CENSUS_MAX_ENTRIES`` deficit entries: its time and memory follow that
     figure, which also bounds the states it visits.  Only the starting state,
     one deficit per target, is built before the bound applies.
     """
-    targets = tuple(inst.run.values())
-    count = _count_partitions(inst.n, targets)
-    if not materialize:
-        return count, None
-    raw = _list_partitions(inst.n, targets, count if cap is None else min(cap, count))
-    partitions = [
-        Partition(inst.n, inst.run, dict(zip(inst.run.values(), blocks)))
-        for blocks in raw
-    ]
-    return count, partitions
+    count = _count_partitions(inst.n, tuple(inst.run.values()))
+    cap = count if limit is None else min(limit, count)
+    return count, _list_partitions(inst, cap) if cap else []
 
 
 def count_runs_bruteforce(value: int) -> int:

@@ -107,7 +107,6 @@ class ConsecutiveRun(_Value):
         # written out rather than inherited: a run is built per odd divisor
         if not 1 <= a <= b:
             raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
-        _checked(b, "run endpoint")
         _checked((a + b) * (b - a + 1) // 2, "run sum")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

@@ -128,7 +128,7 @@ def test_criterion_6_census_membership():
     for n in range(1, 13):
         for run in enumerate_runs(triangular(n)):
             inst = Instance(n, run)
-            _, partitions = oracle.enumerate_all(inst, materialize=True)
+            _, partitions = oracle.enumerate_all(inst, limit=None)
             constructed, _ = solve(inst)
             if constructed not in partitions:
                 failures += 1

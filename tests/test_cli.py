@@ -201,6 +201,15 @@ def test_user_errors_exit_2(run_cli, args):
     assert "Traceback" not in result.stderr
 
 
+def test_limit_without_list_is_checked_and_lists_nothing(run_cli):
+    result = run_cli("count", 5, 7, 8, "--limit", 0)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: --limit must be in 1..")
+    result = run_cli("count", 5, 7, 8, "--limit", 3, "--json", "--no-timing")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["result"] == {"count": 3}
+
+
 def test_usage_error_exits_2(run_cli):
     assert run_cli("partition", "fourteen", 15, 20).returncode == 2
     assert run_cli("no-such-command").returncode == 2

@@ -10,17 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircase_sums.construct import (
-    EXACT,
-    MIRROR_HIGH,
-    MIRROR_LOW,
-    OPEN,
-    Partition,
-    _kinds,
-    _layer_step,
-    difference_pairs,
-    solve,
-)
+from staircase_sums.construct import Partition, _layer_step, difference_pairs, solve
 from staircase_sums.oracle import verify
 from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
 
@@ -198,14 +188,6 @@ def test_layer_worked_example():
     assert sorted(p for p, _ in pairs) == list(range(3, 9))
     assert sorted(q for _, q in pairs) == list(range(9, 15))
     assert reduced == (2, 3, 3)
-    assert _kinds(6, m, 15 <= c) == [
-        MIRROR_LOW,
-        MIRROR_LOW,
-        EXACT,
-        MIRROR_HIGH,
-        MIRROR_HIGH,
-        OPEN,
-    ]
 
 
 def test_layer_small_examples():
@@ -218,7 +200,6 @@ def test_layer_all_positive_deficits():
     # a > c: no zero-deficit target, every pair stays open
     c, m, low, pairs, reduced = _layer_step(9, 22, 23)
     assert (c, m, low) == (15, 0, None)
-    assert _kinds(2, m, 22 <= c) == [OPEN, OPEN]
     assert pairs == [(7, 8), (6, 9)]
     assert reduced == (5, 7, 8)
 
@@ -250,11 +231,8 @@ def test_layer_mirror_symmetry_sweep():
         if m == 0:
             continue
         seen_mirrors += 1
-        kinds = _kinds(inst.run.b - a + 1, m, a <= c)
-        assert len(kinds) == len(pairs)
         for d in range(1, m + 1):
             lo, hi = pairs[c - d - a], pairs[c + d - a]
-            assert kinds[c - d - a] == MIRROR_LOW and kinds[c + d - a] == MIRROR_HIGH
             x, xp = lo[1], hi[1]
             assert xp - x == d
             assert low <= x < xp <= low + 2 * m

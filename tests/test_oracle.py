@@ -89,8 +89,8 @@ def _census_by_backtracking(n, a, b, cap):
     return count, out
 
 
-def _listed(inst, cap=None):
-    count, partitions = enumerate_all(inst, materialize=True, cap=cap)
+def _listed(inst, limit=None):
+    count, partitions = enumerate_all(inst, limit)
     return count, [tuple(p.blocks[t] for t in inst.run.values()) for p in partitions]
 
 
@@ -245,7 +245,7 @@ def test_verify_matches_the_per_element_reference(n, data):
 
 def test_enumerate_all_small_example():
     inst = Instance(5, ConsecutiveRun(7, 8))
-    count, partitions = enumerate_all(inst, materialize=True)
+    count, partitions = enumerate_all(inst, limit=None)
     assert count == 3
     assert [p.blocks for p in partitions] == [
         {7: (2, 5), 8: (1, 3, 4)},
@@ -261,7 +261,7 @@ def test_enumerate_all_matches_product_census():
             if run.length() ** n > 2_000_000:
                 continue
             inst = Instance(n, run)
-            count, partitions = enumerate_all(inst, materialize=True)
+            count, partitions = enumerate_all(inst, limit=None)
             expected = _census_by_product(inst)
             assert count == len(expected)
             assert sorted(map(repr, (p.blocks for p in partitions))) == sorted(
@@ -298,7 +298,7 @@ def test_enumerate_all_capped_listing_matches_backtracking_reference(n, a, b, ca
 def test_enumerate_all_deep_forced_count():
     n = 3000
     inst = Instance(n, ConsecutiveRun(triangular(n), triangular(n)))
-    count, partitions = enumerate_all(inst, materialize=True)
+    count, partitions = enumerate_all(inst, limit=None)
     assert count == 1
     assert partitions[0].blocks == {triangular(n): tuple(range(1, n + 1))}
 
@@ -328,25 +328,21 @@ def test_enumerate_all_count_regression_six_target_instance():
 
 def test_enumerate_all_cap_truncates_list_but_not_count():
     inst = Instance(5, ConsecutiveRun(7, 8))
-    count, partitions = enumerate_all(inst, materialize=True, cap=2)
+    count, partitions = enumerate_all(inst, limit=2)
     assert count == 3
     assert len(partitions) == 2
-    full = enumerate_all(inst, materialize=True)[1]
+    full = enumerate_all(inst, limit=None)[1]
     assert partitions == full[:2]
-    assert enumerate_all(inst, cap=10**9)[0] == enumerate_all(inst)[0]
-
-
-def test_enumerate_all_without_materialize_returns_no_list():
-    count, partitions = enumerate_all(Instance(5, ConsecutiveRun(7, 8)))
-    assert count == 3
-    assert partitions is None
+    # the default limit, 0, lists nothing; a limit past the count lists all
+    assert enumerate_all(inst) == (3, [])
+    assert enumerate_all(inst, limit=10**9)[1] == full
 
 
 def test_enumerate_all_contains_solver_output():
     for n in range(1, 11):
         for run in enumerate_runs(triangular(n)):
             inst = Instance(n, run)
-            _, partitions = enumerate_all(inst, materialize=True)
+            _, partitions = enumerate_all(inst, limit=None)
             constructed, _ = solve(inst)
             assert constructed in partitions
 

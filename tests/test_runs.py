@@ -211,6 +211,8 @@ def test_consecutive_run_validation():
         ConsecutiveRun(6, 4)
     with pytest.raises(OverflowError):
         ConsecutiveRun(1, INT64_MAX)
+    with pytest.raises(OverflowError):  # a one-value run whose endpoint alone overflows
+        ConsecutiveRun(2**63, 2**63)
 
 
 def test_instance_validation():
