@@ -28,7 +28,6 @@ from .runs import (
     Instance,
     check_length_bound,
     enumerate_runs,
-    is_triangular,
     odd_divisors,
     triangular,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "difference_pairs",
     "enumerate_all",
     "enumerate_runs",
-    "is_triangular",
     "odd_divisors",
     "rebuilt_layout",
     "render_rebuilt",

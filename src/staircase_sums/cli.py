@@ -11,7 +11,7 @@ Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
 those same dicts, so text and JSON cannot disagree.  A trace is written
 straight from the per-layer int records that ``construct.solve`` returns,
 whose columns are read once and sliced for each piece, and the runs of a
-``runs`` reply straight from its :class:`ConsecutiveRun` objects.  Both are
+``runs`` reply from their int ends ``(a, b)``, with no run object.  Both are
 record lists that declare their shape (``_Trace``, ``_Runs``), so each group
 of same-shaped records (the layers of a stretch, all the runs) is formatted
 through one bytes ``%`` template.  Once the handler and its checks are done,
@@ -31,14 +31,15 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, groupby, islice, repeat
-from operator import attrgetter, le, sub
+from itertools import chain, groupby, repeat
+from operator import le, sub
 
 from . import oracle, render
 from .construct import Partition, difference_pairs, solve
 from .runs import (
     ConsecutiveRun,
     Instance,
+    _run_ends,
     check_length_bound,
     enumerate_runs,
     triangular,
@@ -236,30 +237,35 @@ class _Trace(list):
 
 
 class _Runs(list):
-    """The :class:`ConsecutiveRun` objects of a ``runs`` reply, which
-    :func:`to_json` writes as JSON objects and ``text_runs`` as lines, every
-    run through one template by :func:`_records`."""
+    """The int ends ``(a, b)`` of a ``runs`` reply's runs, ascending by ``a``, which
+    :func:`to_json` writes as JSON objects and ``text_runs`` as lines, every run
+    through one template by :func:`_records` from each piece's flattened ends."""
 
     def json(self, pad: str):
         """The runs' JSON objects in pieces, each starting on a line indented
         by ``pad``."""
         i1 = pad + "  "
-        a, b = map(attrgetter("a"), self), map(attrgetter("b"), self)
-        values = chain.from_iterable(zip(a, b, map(ConsecutiveRun.length, self)))
+
+        def ints(lo, hi):
+            # a, b and the length b - a + 1 of runs lo to hi - 1, by slice assignment
+            ends = list(chain.from_iterable(self[lo:hi]))
+            a, b = ends[::2], ends[1::2]
+            flat = [0] * (3 * (hi - lo))
+            flat[::3], flat[1::3], flat[2::3] = a, b, map(sub, b, map((-1).__add__, a))
+            return flat
+
         template = f'{{{i1}"a": %d,{i1}"b": %d,{i1}"length": %d{pad}}}'
-        return _records(template, "," + pad, 0, len(self),
-                        lambda lo, hi: islice(values, 3 * (hi - lo)))
+        return _records(template, "," + pad, 0, len(self), ints)
 
     def text(self, value: int):
         """The runs' lines ``  value = [a..b]`` in pieces."""
-        values = chain.from_iterable(map(attrgetter("a", "b"), self))
         return _records(f"  {value} = [%d..%d]", "\n", 0, len(self),
-                        lambda lo, hi: islice(values, 2 * (hi - lo)))
+                        lambda lo, hi: chain.from_iterable(self[lo:hi]))
 
 
 def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict, int]:
-    runs = _Runs(enumerate_runs(args.n))
-    # enumerate_runs builds exactly one run per odd divisor
+    runs = _Runs(_run_ends(args.n))
+    # one run per odd divisor
     return {"n": args.n}, {"odd_divisor_count": len(runs), "runs": runs}, 0
 
 
@@ -364,12 +370,12 @@ def _selftest_checks(max_n: int):
         brute = oracle.count_runs_bruteforce_upto(brute_limit)
         sieve = oracle.odd_divisor_counts_upto(limit)
         for value in range(1, limit + 1):
-            runs = enumerate_runs(value)
+            runs = _run_ends(value)
             expected = sieve[value]
             if len(runs) != expected:
                 return value - 1, f"run count != odd divisor count at {value}"
-            if any(r.sum() != value for r in runs):
-                return value - 1, f"run does not sum to {value}"
+            if any(not 0 < a <= b or (a + b) * (b - a + 1) != 2 * value for a, b in runs):
+                return value - 1, f"[a..b] is not a run of positive ints summing to {value}"
             if value <= brute_limit and brute[value] != expected:
                 return value - 1, f"window scan disagrees at {value}"
         return limit, None

@@ -22,9 +22,12 @@ for _p in range(3, math.isqrt(_TRIAL_BOUND) + 1, 2):
         _sieve[_p * _p::2 * _p] = bytes(len(range(_p * _p, _TRIAL_BOUND, 2 * _p)))
 _TRIAL_PRIMES = tuple(itertools.compress(range(3, _TRIAL_BOUND, 2), _sieve[3::2]))
 del _sieve, _p
-# The strong probable-prime test to these bases is exact below 3.18 * 10**23,
-# which covers every 64-bit value (Sorenson & Webster, Math. Comp. 2017).
+# The strong probable-prime test to the first k bases is exact below bound, for each
+# (bound, k), the least strong pseudoprime to them (OEIS A014233; Jaeschke 1993), and
+# to all twelve below 3.18 * 10**23, past every 64-bit value (Sorenson & Webster 2017).
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_BASES_BELOW = ((2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+                (3825123056546413051, 9))
 
 
 def _checked(value: int, what: str) -> int:
@@ -38,15 +41,6 @@ def triangular(n: int) -> int:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return _checked(n * (n + 1) // 2, "triangular number")
-
-
-def is_triangular(value: int) -> int | None:
-    """Return the n with triangular(n) == value, or None if there is none."""
-    if value < 1:
-        raise ValueError(f"value must be >= 1, got {value}")
-    _checked(value, "value")
-    n = (math.isqrt(8 * value + 1) - 1) // 2
-    return n if n * (n + 1) // 2 == value else None
 
 
 class _Value:
@@ -149,12 +143,13 @@ class Instance(_Value):
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for an odd n > 37 below 3.18 * 10**23."""
+    """Deterministic Miller-Rabin for an odd n > 37 below 3.18 * 10**23, to the bases n needs."""
+    k = next((k for bound, k in _BASES_BELOW if n < bound), len(_MILLER_RABIN_BASES))
     d, r = n - 1, 0
     while not d & 1:
         d >>= 1
         r += 1
-    for base in _MILLER_RABIN_BASES:
+    for base in _MILLER_RABIN_BASES[:k]:
         x = pow(base, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -242,21 +237,29 @@ def odd_divisors(value: int) -> list[int]:
     return divisors
 
 
-def enumerate_runs(value: int) -> list[ConsecutiveRun]:
-    """Every consecutive run summing to ``value``, ascending by first term.
+def _run_ends(value: int) -> list[tuple[int, int]]:
+    """The ends ``(a, b)`` of every consecutive run summing to ``value``,
+    ascending by ``a``: the ints of :func:`enumerate_runs`, with no object per run.
 
-    2*value factors as s*f with s the run length and f = a + b; s and f have
-    opposite parity, so each odd divisor of ``value`` is the odd factor of
-    exactly one such factorization and yields exactly one run.
+    The odd divisor d = 2h + 1 gives the d terms centred on q = value / d,
+    [q - h..q + h]; when that reaches below 1, its terms from q - h up to h - q
+    sum to 0, leaving the 2q terms [h + 1 - q..q + h].  This is Sylvester's
+    bijection: of a run's length and a + b, whose product is 2 * value, exactly
+    one is odd, and it is the d the run comes from.  As ``odd_divisors`` checks
+    ``value``, every run is one that ``ConsecutiveRun`` accepts.
     """
-    runs = []
+    ends = []
     for d in odd_divisors(value):
-        e = 2 * value // d
-        s, f = (d, e) if d < e else (e, d)
-        first = (f - s + 1) // 2
-        runs.append(ConsecutiveRun(first, first + s - 1))
-    runs.sort(key=lambda r: r.a)
-    return runs
+        q, h = value // d, d >> 1
+        ends.append((q - h if q > h else h + 1 - q, q + h))
+    ends.sort()
+    return ends
+
+
+def enumerate_runs(value: int) -> list[ConsecutiveRun]:
+    """Every consecutive run summing to ``value``, ascending by first term,
+    one per odd divisor of ``value`` (see :func:`_run_ends`)."""
+    return [ConsecutiveRun(a, b) for a, b in _run_ends(value)]
 
 
 def check_length_bound(inst: Instance) -> bool:

@@ -307,13 +307,13 @@ def test_selftest_that_fails_a_sweep_exits_1(monkeypatch, capsys, envelope_schem
 
 
 def test_selftest_counts_only_the_passed_cases_of_a_failed_sweep(monkeypatch, capsys):
-    enumerate_runs = cli.enumerate_runs
+    run_ends = cli._run_ends
 
     def drops_a_run_at_7(value):
-        runs = enumerate_runs(value)
+        runs = run_ends(value)
         return runs[1:] if value == 7 else runs
 
-    monkeypatch.setattr(cli, "enumerate_runs", drops_a_run_at_7)
+    monkeypatch.setattr(cli, "_run_ends", drops_a_run_at_7)
     assert cli.main(["selftest", "4"]) == 1
     out = capsys.readouterr().out
     assert "  run-bijection: FAIL after 6 cases: run count != odd divisor count at 7\n" in out
@@ -622,8 +622,8 @@ def _reply(argv: list[str]) -> str:
     return out.getvalue()
 
 
-# Reference `runs` replies, built from a dict and an f-string line per run;
-# cli._Runs writes the same bytes straight from the ConsecutiveRun objects.
+# Reference `runs` replies, built from a dict and an f-string line per
+# ConsecutiveRun; cli._Runs writes the same bytes from the runs' int ends.
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 10**12))
 @example(1)
@@ -642,3 +642,19 @@ def test_runs_replies_match_per_run_references(value):
     lines = [f"{value} has {len(runs)} consecutive-run representations "
              f"(odd divisors: {len(runs)})", *(f"  {value} = [{r.a}..{r.b}]" for r in runs)]
     assert _reply(["runs", str(value)]) == "".join(line + "\n" for line in lines)
+
+
+def test_runs_replies_build_no_run_objects(monkeypatch):
+    built = []
+    init = ConsecutiveRun.__init__
+
+    def counted(self, a, b):
+        built.append((a, b))
+        init(self, a, b)
+
+    monkeypatch.setattr(ConsecutiveRun, "__init__", counted)
+    assert _reply(["runs", "720720"]).startswith("720720 has 48 consecutive-run")
+    assert '"odd_divisor_count": 48,' in _reply(["runs", "720720", "--json"])
+    assert built == []
+    ConsecutiveRun(15, 20)  # the count sees the runs that are built
+    assert built == [(15, 20)]

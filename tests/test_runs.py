@@ -6,6 +6,7 @@ import copy
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from staircase_sums.runs import (
     INT64_MAX,
     ConsecutiveRun,
     Instance,
+    _is_prime,
+    _run_ends,
     check_length_bound,
     enumerate_runs,
-    is_triangular,
     odd_divisors,
     triangular,
 )
@@ -92,41 +94,14 @@ def test_triangular_overflow_is_an_error():
         triangular(2**33)
 
 
-@pytest.mark.parametrize("value,expected", [(15, 5), (14, None), (1, 1), (105, 14)])
-def test_is_triangular_examples(value, expected):
-    assert is_triangular(value) == expected
-
-
-def test_is_triangular_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        is_triangular(0)
-
-
 def test_triangular_roundtrip_sweep():
     prev = -1
     for n in range(0, 10**6 + 1):
         t = triangular(n)
         assert t > prev
         prev = t
-        if n:
-            assert is_triangular(t) == n
-
-
-@given(st.integers(min_value=1, max_value=10**9))
-def test_is_triangular_roundtrip(n):
-    assert is_triangular(triangular(n)) == n
-
-
-@given(st.integers(min_value=1, max_value=10**6))
-def test_is_triangular_detects_non_triangulars(value):
-    n = is_triangular(value)
-    if n is None:
-        k = 1
-        while triangular(k) < value:
-            k += 1
-        assert triangular(k) != value
-    else:
-        assert triangular(n) == value
+        # the inverse, n = (sqrt(8t + 1) - 1) / 2
+        assert (math.isqrt(8 * t + 1) - 1) // 2 == n
 
 
 @pytest.mark.parametrize(
@@ -158,6 +133,54 @@ def test_odd_divisors_of_hard_values(value):
         for exps in itertools.product(*(range(e + 1) for e in factors.values()))
     )
     assert odd_divisors(value) == expected
+
+
+# the least strong pseudoprimes to the first 5, 6, 7 and 9 prime bases (OEIS
+# A014233), where _is_prime moves to 6, 7, 9 and 12 bases; none has a factor
+# below 1024, so each reaches Miller-Rabin
+LEAST_STRONG_PSEUDOPRIMES = {
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+}
+
+
+@pytest.mark.parametrize("value", sorted(LEAST_STRONG_PSEUDOPRIMES))
+def test_least_strong_pseudoprimes_are_composite(value):
+    primes = LEAST_STRONG_PSEUDOPRIMES[value]
+    assert math.prod(primes) == value and min(primes) > _TRIAL_BOUND
+    assert not _is_prime(value)
+    assert all(_is_prime(p) for p in primes if p > _TRIAL_BOUND**2)
+    expected = sorted(math.prod(chosen) for k in range(len(primes) + 1)
+                      for chosen in itertools.combinations(primes, k))
+    assert odd_divisors(value) == expected
+
+
+def _strong_probable_prime_to_twelve_bases(n: int) -> bool:
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(base, d, n)
+        if x != 1 and all(pow(x, 2**i, n) != n - 1 for i in range(r)):
+            return False
+    return True
+
+
+def test_miller_rabin_bases_by_size_agree_with_all_twelve():
+    # odd values with no factor below the trial bound, the only ones odd_divisors
+    # tests, at every size from the trial bound squared up to 2**63
+    rng = random.Random(1993)
+    checked = primes = 0
+    while checked < 3000:
+        n = rng.randrange(_TRIAL_BOUND**2, 2 ** rng.randrange(21, 64)) | 1
+        if any(n % p == 0 for p in _TRIAL_PRIMES):
+            continue
+        expected = _strong_probable_prime_to_twelve_bases(n)
+        assert _is_prime(n) == expected, n
+        checked, primes = checked + 1, primes + expected
+    assert 300 < primes < 2700  # both outcomes are well covered
 
 
 def test_trial_primes_are_the_odd_primes_below_1024():
@@ -197,6 +220,17 @@ def test_enumerate_runs_properties(value):
     assert all(r.sum() == value for r in runs)
     assert [r.a for r in runs] == sorted({r.a for r in runs})
     assert len(runs) == len(odd_divisors(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=INT64_MAX))
+def test_run_ends_are_the_runs_of_the_value(value):
+    # what ConsecutiveRun would check per run, and more: each pair is a run of
+    # positive ints summing to value, one per odd divisor, ascending by a
+    ends = _run_ends(value)
+    assert all(1 <= a <= b and (a + b) * (b - a + 1) == 2 * value for a, b in ends)
+    assert all(x[0] < y[0] for x, y in itertools.pairwise(ends))
+    assert len(ends) == len(odd_divisors(value))
 
 
 def test_consecutive_run_validation():
