@@ -9,13 +9,13 @@ Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
 ``input`` and ``result`` dicts and the exit code, and, only without
 ``--json``, ``text_<command>(input_echo, result)`` gives the text lines from
 those same dicts, so text and JSON cannot disagree.  A trace is written
-straight from the per-layer int records that ``construct.solve`` returns,
-whose columns are read once and sliced for each piece, and the runs of a
-``runs`` reply from their int ends ``(a, b)``, with no run object.  Both are
-record lists that declare their shape (``_Trace``, ``_Runs``), so each group
-of same-shaped records (the layers of a stretch, all the runs) is formatted
-through one bytes ``%`` template.  Once the handler and its checks are done,
-the reply goes to stdout piece by piece as it is formatted.
+straight from the int columns that ``construct.solve`` returns, sliced for
+each piece, and the runs of a ``runs`` reply from their int ends ``(a, b)``,
+with no run object.  Both are record lists that declare their shape
+(``_Trace``, ``_Runs``), so each group of same-shaped records (the layers of
+a stretch, all the runs) is formatted through one bytes ``%`` template.
+Once the handler and its checks are done, the reply goes to stdout piece by
+piece as it is formatted.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
 failed), 2 user error, 130 interrupted (Ctrl-C), 141 the reader closed stdout
@@ -31,7 +31,7 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import le, sub
 
 from . import oracle, render
@@ -136,17 +136,20 @@ def _blocks_text(partition: Partition) -> list[str]:
             for t, block in sorted(partition.blocks.items())]
 
 
-class _Trace(list):
-    """The solver's layer records ``(n, a, b, c, m, low, pairs)``, which
-    :func:`to_json` writes as JSON and ``text_partition`` as text.
+class _Trace(tuple):
+    """The solver's trace columns ``(n, a, b, c, m, low, ends)``, which
+    :func:`to_json` writes as a list of layers and ``text_partition`` as text.
 
     Consecutive layers of one shape (run length, window, and the kinds of
     their targets) are written through one template by :func:`_records`: a
     stretch of plain layers is one group, and each other layer is a group of
-    its own.  Both writers read the records' columns once, and lay out each
-    piece's ints by strided slice assignment from slices of those columns, so
-    that their cost per layer stays in C.
+    its own.  Both writers lay out each piece's ints by strided slice
+    assignment from slices of the columns, so that their cost per layer
+    stays in C.
     """
+
+    def __bool__(self) -> bool:  # with no layers, written as [] like an empty list
+        return bool(self[0])
 
     def _write(self, layer, pair: str, sep: str, numbered: bool):
         """The layers in pieces, with ``sep`` between them: ``layer(s, m, low,
@@ -155,15 +158,14 @@ class _Trace(list):
         kind for ``%s``.  The layer template takes the layer's number (if
         ``numbered``), n, a, b, c, the ends of P and Q, the deficits, then
         target, low and high of each pair."""
-        if not self:
-            return
-        ns, as_, bs, cs, ms, lows, pairs = zip(*self)
+        ns, as_, bs, cs, ms, lows, ends = self
         kind_pairs = [pair % kind for kind in ("mirror-low", "exact", "mirror-high", "open")]
+        pair_ends = iter(ends)  # pieces come in order, each taking 2s ends per layer
 
         def ints(lo, hi):
             # the ints of layers lo to hi - 1, which share one run length s, laid
             # out by slice assignment from column slices, along the shorter axis
-            t, s = hi - lo, len(pairs[lo])
+            t, s = hi - lo, bs[lo] - as_[lo] + 1
             n, a, c = ns[lo:hi], as_[lo:hi], cs[lo:hi]
             # each layer's pairs sum to c, so with Q = [q..n] it has P = [c - n..c - q]
             q = list(map((1 - s).__add__, n))
@@ -174,7 +176,7 @@ class _Trace(list):
             flat = [0] * (t * width)
             for j, column in enumerate(heads):
                 flat[j::width] = column
-            ends = list(chain.from_iterable(chain.from_iterable(pairs[lo:hi])))
+            ends = list(islice(pair_ends, 2 * s * t))
             if s <= t:  # target i: deficit c - a - i, target a + i, pair ends[2i], ends[2i + 1]
                 deficits = list(map(sub, c, a))
                 for i in range(s):
@@ -192,10 +194,10 @@ class _Trace(list):
             return flat
 
         # run length, window, and whether a <= c fix the kinds of a layer's targets
-        shapes = zip(map(len, pairs), ms, lows, map(le, as_, cs))
+        shapes = zip(map(sub, bs, as_), ms, lows, map(le, as_, cs))
         lo = 0
         for (s, m, low, exact), group in groupby(shapes):
-            hi = lo + len(list(group))
+            s, hi = s + 1, lo + len(list(group))
             # the m targets below the pair sum c and the m above it are met by
             # difference pairs, c itself (if a <= c) by one pair, and the rest stay open
             counts = (m, exact, m, s - 2 * m - exact)
@@ -280,11 +282,11 @@ def cmd_partition(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if args.n > PARTITION_MAX_N:
         raise ValueError(f"partition accepts n <= {PARTITION_MAX_N}, got n={args.n}")
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
-    partition, records = solve(inst, args.trace)
+    partition, trace = solve(inst, args.trace)
     report = oracle.verify(inst.n, inst.run, partition)
     result: dict = {"blocks": partition, "verified": report.ok}
     if args.trace:
-        result["trace"] = _Trace(records)
+        result["trace"] = _Trace(trace)
     if not report.ok:
         # cannot happen unless the solver is defective
         print(f"internal defect: verify found {report.violations}", file=sys.stderr)
@@ -292,7 +294,7 @@ def cmd_partition(args: argparse.Namespace) -> tuple[dict, dict, int]:
 
 
 def text_partition(input_echo: dict, result: dict):
-    yield from result.get("trace", _Trace()).text()
+    yield from result["trace"].text() if "trace" in result else ()
     yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]"
     yield from _blocks_text(result["blocks"])
     yield "verified: ok" if result["verified"] else "verified: FAILED"

@@ -27,17 +27,17 @@ the sum invariant, a > c holds exactly when n >= 3s, so such layers come in
 the two arithmetic progressions n-s-i, n-3s-i, ... and n-s+1+i, n-s+1+i-2s,
 ... of k terms each.  :func:`solve` works on plain ints and takes one step
 per peel, per stretch, and per remaining layer (a windowed layer, or the
-plain layer with a = c that closes the first target).  A trace, one record
-of ints per layer (documented at :func:`solve`), is built only when asked
-for.  A stretch's records are built in bulk, not layer by layer: their n and
-pair sums are arithmetic progressions, their run starts the running sums of
-those pair sums, and their pairs the columns of the progressions just added
-to the blocks.
+plain layer with a = c that closes the first target).  A trace, seven
+columns (documented at :func:`solve`), is built only when asked for.
+A stretch's entries are appended in bulk, not layer by layer: its n and pair
+sums are arithmetic progressions, its run starts the running sums of those
+pair sums, and its pair ends are laid out by strided slice assignment from
+the progressions just added to the blocks.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import sub
 
 from .runs import ConsecutiveRun, Instance, _Value
@@ -141,22 +141,22 @@ def _stretch_start(a: int, c: int, s: int, j: int) -> int:
     return a - j * c + 2 * s * j * (j - 1)
 
 
-def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, list[tuple] | None]:
+def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[list, ...] | None]:
     """Partition {1..n} into blocks summing to each target of the run.
 
     Deterministic; the same instance always yields the identical partition.
-    With ``want_trace`` it also returns the trace: one record
-    ``(n, a, b, c, m, low, pairs)`` per layer, in order (peels contribute
-    none).  The layer met the pending amounts [a..b] over {1..n} with pairs
-    summing to c = 2n - 2s + 1; ``pairs[i]`` went to the amount a + i, the
-    amounts up to c + m were met exactly, and ``low`` is the bottom of the
-    difference-pair window when m >= 1, else None.
+    With ``want_trace`` it also returns the trace as the lists ``(n, a, b, c,
+    m, low, ends)``, one entry per layer in each but ``ends`` (peels add none).
+    The layer met the pending amounts [a..b] over {1..n} with s = b - a + 1
+    pairs summing to c = 2n - 2s + 1, its next 2s ``ends`` being the pairs of
+    the amounts a to b, end by end; the amounts up to c + m were met exactly,
+    and ``low`` is the bottom of the difference-pair window when m >= 1, else None.
     """
     n, a, b = inst.n, inst.run.a, inst.run.b
     blocks: dict[int, list[int]] = {t: [] for t in range(a, b + 1)}
     # targets[i] is the original target that still needs amount a + i
     targets = list(blocks)
-    records: list[tuple] = []  # (n, a, b, c, m, low, pairs) per traced layer
+    trace = tuple([] for _ in range(7)) if want_trace else None
 
     while targets:
         s = len(targets)
@@ -180,16 +180,19 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, list[tup
                 block.extend(range(n - s + 1 + i, n - s + 1 + i - span, -step))
             c = 2 * n - 2 * s + 1
             if want_trace:
-                # Layer j has pair sum c - 4sj, which it takes off every amount,
-                # and gave target i the j-th term of each of its progressions;
-                # the pairs come from the last 2k elements of the blocks, so
-                # that trace and blocks share the ints.
+                # Layer j has pair sum c - 4sj, which it takes off every amount, and
+                # gave target i the j-th term of each progression: ends 2sj + 2i and
+                # 2sj + 2i + 1 of the span that the stretch appends, read from the
+                # blocks so that trace and blocks share the ints.
                 sums = range(c, c - 2 * span, -2 * step)
                 starts = list(accumulate(sums[:-1], sub, initial=a))
-                pairs = zip(*[zip(block[-2 * k:-k], block[-k:])
-                              for block in map(blocks.get, targets)])
-                records.extend(zip(range(n, n - span, -step), starts, map((s - 1).__add__, starts),
-                                   sums, repeat(0), repeat(None), map(list, pairs)))
+                for column, values in zip(trace, (range(n, n - span, -step), starts,
+                                                  map((s - 1).__add__, starts), sums, repeat(0, k),
+                                                  repeat(None, k), repeat(0, span))):
+                    column += values
+                for i, block in enumerate(map(blocks.get, targets)):
+                    trace[6][2 * i - span::step] = block[-2 * k:-k]
+                    trace[6][2 * i + 1 - span::step] = block[-k:]
             # The pending sum minus 1 + ... + n is a quadratic in the layer
             # index j, zero at j = 0 (checked above); checking it at j = k-1
             # here and at j = k on the next round makes it zero at every
@@ -200,14 +203,16 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, list[tup
             b = a + s - 1
         else:
             c, m, low, pairs, reduced = _layer_step(n, a, b)
-            if want_trace:
-                records.append((n, a, b, c, m, low, pairs))
             for target, pair in zip(targets, pairs):
                 blocks[target].extend(pair)
+            if want_trace:
+                for column, values in zip(trace, ([n], [a], [b], [c], [m], [low], chain(*pairs))):
+                    column += values
+            del pairs  # so that a wide layer's pairs are not held beside their ends
             n, a, b = reduced
         # the open targets are the last ones, in order
         targets = targets[s - (b - a + 1):]
 
     assert n == 0, "elements left over with no targets pending"
     partition = Partition(inst.n, inst.run, {t: tuple(sorted(b)) for t, b in blocks.items()})
-    return partition, (records if want_trace else None)
+    return partition, trace

@@ -232,7 +232,7 @@ def odd_divisors(value: int) -> list[int]:
     _checked(value, "value")
     divisors = [1]
     for p, e in _odd_prime_factors(value).items():
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+        divisors = [d * pk for pk in [p**k for k in range(e + 1)] for d in divisors]
     divisors.sort()
     return divisors
 

@@ -29,7 +29,7 @@ from staircase_sums.cli import (
 )
 from staircase_sums.construct import Partition
 from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
-from test_construct import reference_solve
+from test_construct import reference_solve, trace_rows
 
 GOLDEN_COMMANDS = {
     "runs_15.json": ["runs", 15],
@@ -489,9 +489,9 @@ def test_lists_of_int_dicts_match_stdlib_indent_2(items):
     assert _written({"runs": items}) == json.dumps({"runs": items}, indent=2)
 
 
-# Reference trace writers, which build a dict per layer from the solver's
-# records and name each pair's kind themselves; cli._Trace writes the same
-# bytes straight from the records.
+# Reference trace writers, which build a dict per layer from the trace's
+# records (see trace_rows) and name each pair's kind themselves; cli._Trace
+# writes the same bytes straight from the solver's columns.
 def _kind(t: int, c: int, m: int) -> str:
     if t - c > m:
         return "open"
@@ -551,11 +551,25 @@ def _trace_text(trace: list[dict]) -> list[str]:
 def test_layer_record_writers_match_the_trace_writers(n, pick):
     runs = enumerate_runs(triangular(n))
     inst = Instance(n, runs[pick % len(runs)])
-    records = construct.solve(inst, want_trace=True)[1]
+    trace = construct.solve(inst, want_trace=True)[1]
+    records = trace_rows(trace)
     assert records == reference_solve(inst)[1]
     reference = _trace_json(records)
-    assert _written(cli._Trace(records)) == json.dumps(reference, indent=2)
-    assert "\n".join(cli._Trace(records).text()) == "\n".join(_trace_text(reference))
+    assert _written(cli._Trace(trace)) == json.dumps(reference, indent=2)
+    assert "\n".join(cli._Trace(trace).text()) == "\n".join(_trace_text(reference))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24, 300])
+def test_a_peel_only_run_writes_an_empty_trace(capsys, n):
+    # [1..n] is met by one peel, so every trace column is empty
+    args = ["partition", str(n), "1", str(n), "--trace"]
+    assert cli.main([*args, "--json", "--no-timing"]) == 0
+    out = capsys.readouterr().out
+    assert '\n    "trace": []\n' in out
+    assert json.loads(out)["result"]["trace"] == []
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"n = {n}, run = [1..{n}]\n") and "layer" not in out
 
 
 def test_closed_pipe_exits_141_without_traceback(spawn_cli):

@@ -77,6 +77,18 @@ def reference_solve(inst: Instance) -> tuple[Partition, list[tuple]]:
     return partition, records
 
 
+def trace_rows(trace) -> list[tuple]:
+    """``solve``'s trace columns as the records ``reference_solve`` builds: one
+    ``(n, a, b, c, m, low, pairs)`` per layer, whose pairs are its 2s pair ends."""
+    *columns, ends = trace
+    rows, start = [], 0
+    for n, a, b, c, m, low in zip(*columns):
+        stop = start + 2 * (b - a + 1)
+        rows.append((n, a, b, c, m, low, list(zip(ends[start:stop:2], ends[start + 1:stop:2]))))
+        start = stop
+    return rows
+
+
 def seeded_instances(seed: int, max_n: int, drawn: int) -> list[Instance]:
     """Worst runs [T(n)..T(n)] at log-spaced n up to max_n, plus runs drawn for log-uniform n."""
     rng = random.Random(seed)
@@ -145,9 +157,9 @@ def test_difference_pairs_m1_stays_below_window_top():
 
 
 def test_peel_identity_run():
-    partition, records = solve(Instance(5, ConsecutiveRun(1, 5)), want_trace=True)
+    partition, trace = solve(Instance(5, ConsecutiveRun(1, 5)), want_trace=True)
     assert partition.blocks == {t: (t,) for t in range(1, 6)}
-    assert records == []  # nothing is left after the peel
+    assert trace == ([], [], [], [], [], [], [])  # nothing is left after the peel
 
 
 @pytest.mark.parametrize(
@@ -159,11 +171,11 @@ def test_peel_identity_run():
     ],
 )
 def test_peel_examples(n, a, b, reduced_n, reduced_a, reduced_b):
-    partition, records = solve(Instance(n, ConsecutiveRun(a, b)), want_trace=True)
+    partition, trace = solve(Instance(n, ConsecutiveRun(a, b)), want_trace=True)
     assert all(partition.blocks[t] == (t,) for t in range(a, n + 1))
     # a peel never applies twice in a row, so a layer of the reduced state follows
     assert reduced_a > reduced_n
-    assert records[0][:3] == (reduced_n, reduced_a, reduced_b)
+    assert trace_rows(trace)[0][:3] == (reduced_n, reduced_a, reduced_b)
 
 
 def test_peel_instances_exist_and_reduce_validly():
@@ -171,10 +183,10 @@ def test_peel_instances_exist_and_reduce_validly():
     assert Instance(5, ConsecutiveRun(4, 6)) in found
     assert Instance(9, ConsecutiveRun(5, 10)) in found
     for inst in found:
-        partition, records = solve(inst, want_trace=True)
+        partition, trace = solve(inst, want_trace=True)
         singles = [t for t, block in partition.blocks.items() if block == (t,)]
         assert singles == list(range(inst.run.a, inst.n + 1))
-        assert records[0][:3] == (inst.run.a - 1, inst.n + 1, inst.run.b)
+        assert trace_rows(trace)[0][:3] == (inst.run.a - 1, inst.n + 1, inst.run.b)
 
 
 # ---------------------------------------------------------------- layer
@@ -244,15 +256,15 @@ def test_layer_mirror_symmetry_sweep():
 
 
 def test_solve_worked_example():
-    partition, records = solve(Instance(14, ConsecutiveRun(15, 20)), want_trace=True)
+    partition, trace = solve(Instance(14, ConsecutiveRun(15, 20)), want_trace=True)
     assert partition.blocks == WORKED_EXAMPLE_BLOCKS
-    assert [record[0] for record in records] == [14, 2]
+    assert trace[0] == [14, 2]  # the n of each layer
 
 
 def test_solve_identity():
-    partition, records = solve(Instance(5, ConsecutiveRun(1, 5)))
+    partition, trace = solve(Instance(5, ConsecutiveRun(1, 5)))
     assert partition.blocks == {t: (t,) for t in range(1, 6)}
-    assert records is None
+    assert trace is None
 
 
 def test_solve_small_example():
@@ -298,7 +310,7 @@ def test_solve_matches_reference_sweep_to_300():
     for inst in _instances(300):
         partition, records = reference_solve(inst)
         assert solve(inst)[0].blocks == partition.blocks, inst
-        assert solve(inst, want_trace=True)[1] == records, inst
+        assert trace_rows(solve(inst, want_trace=True)[1]) == records, inst
 
 
 def test_solve_matches_reference_on_seeded_instances_to_1e5():
@@ -308,7 +320,17 @@ def test_solve_matches_reference_on_seeded_instances_to_1e5():
 
 def test_solve_traces_match_reference_to_1e4():
     for inst in seeded_instances(seed=7, max_n=10**4, drawn=24):
-        partition, records = solve(inst, want_trace=True)
+        partition, trace = solve(inst, want_trace=True)
         expected_partition, expected_records = reference_solve(inst)
         assert partition.blocks == expected_partition.blocks, inst
-        assert records == expected_records, inst
+        assert trace_rows(trace) == expected_records, inst
+
+
+def test_trace_columns_have_one_entry_per_layer_and_2s_pair_ends():
+    for inst in _instances(120):
+        trace = solve(inst, want_trace=True)[1]
+        *columns, ends = trace
+        assert len(trace) == 7
+        assert len({len(column) for column in columns}) == 1, inst
+        as_, bs = columns[1:3]
+        assert len(ends) == sum(2 * (b - a + 1) for a, b in zip(as_, bs)), inst
