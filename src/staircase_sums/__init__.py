@@ -16,13 +16,7 @@ from .oracle import (
     enumerate_all,
     verify,
 )
-from .render import (
-    TableauLayout,
-    rebuilt_layout,
-    render_rebuilt,
-    render_staircase,
-    staircase_layout,
-)
+from .render import render_rebuilt, render_staircase
 from .runs import (
     ConsecutiveRun,
     Instance,
@@ -38,7 +32,6 @@ __all__ = [
     "ConsecutiveRun",
     "Instance",
     "Partition",
-    "TableauLayout",
     "VerifyReport",
     "check_length_bound",
     "count_runs_bruteforce",
@@ -47,11 +40,9 @@ __all__ = [
     "enumerate_all",
     "enumerate_runs",
     "odd_divisors",
-    "rebuilt_layout",
     "render_rebuilt",
     "render_staircase",
     "solve",
-    "staircase_layout",
     "triangular",
     "verify",
 ]

@@ -69,7 +69,7 @@ def verify(n: int, run: ConsecutiveRun, partition: Partition) -> VerifyReport:
         violations += [(MISSING_ELEMENT, e) for e in range(1, n + 1) if e not in seen]
         violations += [(FOREIGN_ELEMENT, e) for e in sorted(seen) if not 1 <= e <= n]
 
-    return VerifyReport(ok=not violations, violations=tuple(violations))
+    return VerifyReport(not violations, tuple(violations))
 
 
 def _moves(state: tuple[int, ...], e: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import total_ordering
 
 INT64_MAX = 2**63 - 1
 
@@ -47,17 +46,15 @@ class _Value:
     """Base of the package's value classes, whose instances are immutable.
 
     The fields are the names in ``__slots__``, in order.  ``__init__`` takes
-    them by position or by name and then calls ``__post_init__``; equality,
+    them by position only and then calls ``__post_init__``; equality,
     hashing, ``repr`` and pickling go by the fields, as for a frozen dataclass.
     """
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args) -> None:
         names = self.__slots__
-        if kwargs:  # the fields after those given by position, in order
-            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
-        if kwargs or len(args) != len(names):
+        if len(args) != len(names):
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
@@ -89,7 +86,6 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-@total_ordering
 class ConsecutiveRun(_Value):
     """Inclusive interval [a..b] of positive integers, read as the sum a + ... + b."""
 
@@ -97,16 +93,13 @@ class ConsecutiveRun(_Value):
     a: int
     b: int
 
-    def __init__(self, a: int, b: int) -> None:
+    def __init__(self, a: int, b: int, /) -> None:
         # written out rather than inherited: a run is built per odd divisor
         if not 1 <= a <= b:
             raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
         _checked((a + b) * (b - a + 1) // 2, "run sum")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def __lt__(self, other: object) -> bool:
-        return self._fields() < other._fields() if type(other) is type(self) else NotImplemented
 
     def length(self) -> int:
         return self.b - self.a + 1

@@ -69,11 +69,8 @@ def reference_solve(inst: Instance) -> tuple[Partition, list[tuple]]:
         if owner:
             assert reduced[1:] == (min(owner), max(owner))
     assert n == 0
-    partition = Partition(
-        n=inst.n,
-        run=inst.run,
-        blocks={t: tuple(sorted(blocks[t])) for t in inst.run.values()},
-    )
+    blocks = {t: tuple(sorted(blocks[t])) for t in inst.run.values()}
+    partition = Partition(inst.n, inst.run, blocks)
     return partition, records
 
 

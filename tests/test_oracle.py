@@ -188,7 +188,7 @@ def _verify_per_element(n, run, partition):
     for e in sorted(seen - universe):
         violations.append((FOREIGN_ELEMENT, e))
 
-    return oracle.VerifyReport(ok=not violations, violations=tuple(violations))
+    return oracle.VerifyReport(not violations, tuple(violations))
 
 
 _MUTATIONS = ("duplicate-in-block", "duplicate-across", "drop", "foreign",

@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
 from staircase_sums.construct import Partition, solve
-from staircase_sums.render import (
-    rebuilt_layout,
-    render_rebuilt,
-    render_staircase,
-    staircase_layout,
-)
+from staircase_sums.render import render_rebuilt, render_staircase
 from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
 
 FIGURE_PARTITION = Partition(5, ConsecutiveRun(7, 8), {8: (3, 5), 7: (1, 2, 4)})
@@ -38,6 +31,10 @@ def test_staircase_width_limits():
         render_staircase(0)
     # the width limit is the CLI's; the library draws any n >= 1
     assert render_staircase(101).count("\n") == 100
+    # from n = 100 on, a label takes three characters, and so does every cell
+    lines = render_staircase(100).split("\n")
+    assert lines[0] == "[  1]" and lines[9] == "[ 10]" * 10
+    assert lines[99] == "[100]" * 100
 
 
 def test_rebuilt_figure_partition():
@@ -45,6 +42,14 @@ def test_rebuilt_figure_partition():
     assert render_rebuilt(FIGURE_PARTITION) == (
         "[ 4][ 4][ 4][ 4][ 2][ 2][ 1]\n[ 5][ 5][ 5][ 5][ 5][ 3][ 3][ 3]"
     )
+    # a block with no elements draws as an empty line
+    run = ConsecutiveRun(1, 3)
+    assert render_rebuilt(Partition(3, run, {1: (), 2: (2,), 3: (1, 3)})) == (
+        "\n[ 2][ 2]\n[ 3][ 3][ 3][ 1]"
+    )
+    assert render_rebuilt(Partition(1, ConsecutiveRun(1, 1), {1: ()})) == ""
+    with pytest.raises(ValueError):
+        render_rebuilt(Partition(3, run, {}))
 
 
 def test_rebuilt_identity_matches_staircase():
@@ -62,30 +67,38 @@ def test_rebuilt_solver_output():
 def test_rebuilt_width_limit():
     # the library draws any width; the CLI's limit is tested in test_cli.py
     partition, _ = solve(Instance(15, ConsecutiveRun(120, 120)))
-    assert len(rebuilt_layout(partition).rows[0][1]) == 120
+    assert render_rebuilt(partition).count("[") == 120
 
 
 def test_layout_row_metadata():
-    layout = staircase_layout(4)
-    assert [length for length, _ in layout.rows] == [1, 2, 3, 4]
-    rebuilt = rebuilt_layout(FIGURE_PARTITION)
-    assert [length for length, _ in rebuilt.rows] == [7, 8]
-    assert [len(labels) for _, labels in rebuilt.rows] == [7, 8]
+    assert [row.count("[") for row in render_staircase(4).split("\n")] == [1, 2, 3, 4]
+    assert [row.count("[") for row in render_rebuilt(FIGURE_PARTITION).split("\n")] == [7, 8]
 
 
-def test_conservation_sweep():
-    # single-run representations reach rows of T(40) = 820 cells
+def test_conservation_sweep(rebuilt_fault):
+    # single-run representations reach rows of T(40) = 820 cells; the
+    # staircase is the partition of 1..n into the targets 1..n
     for n in range(1, 41):
-        staircase = staircase_layout(n)
-        stair_labels = [lab for _, labels in staircase.rows for lab in labels]
-        assert len(stair_labels) == triangular(n)
+        assert rebuilt_fault(render_staircase(n), n, 1, n) is None
         for run in enumerate_runs(triangular(n)):
             partition, _ = solve(Instance(n, run))
-            rebuilt = rebuilt_layout(partition)
-            labels = [lab for _, labels in rebuilt.rows for lab in labels]
-            assert len(labels) == triangular(n)
-            assert Counter(labels) == Counter(stair_labels)
-            assert Counter(labels) == {e: e for e in range(1, n + 1)}
+            assert rebuilt_fault(render_rebuilt(partition), n, run.a, run.b) is None
+
+
+@pytest.mark.parametrize("text, b, fault", [
+    ("[ 4][ 4][ 4][ 4][ 2][ 2][ 1]\n[ 5][ 5][ 5][ 5][ 5][ 3][ 3]", 8, "not 8 cells"),
+    ("[ 4][ 4][ 4][ 4][ 2][ 1][ 2]\n[ 5][ 5][ 5][ 5][ 5][ 3][ 3][ 3]", 8, "element 2"),
+    ("[ 4][ 4][ 2][ 2][ 4][ 4][ 1]\n[ 5][ 5][ 5][ 5][ 5][ 3][ 3][ 3]", 8, "element 4"),
+    ("[ 4][ 4][ 4][ 4][ 1][ 2][ 2]\n[ 5][ 5][ 5][ 5][ 5][ 3][ 3][ 3]", 8, "element 2"),
+    ("[ 4][ 4][ 4][ 4][ 2][ 2][ 1]\n[ 5][ 5][ 5][ 5][ 5][ 2][ 2][ 1]", 8, "element 2"),
+    ("[ 6][ 6][ 6][ 6][ 6][ 6][ 1]\n[ 5][ 5][ 5][ 5][ 5][ 3][ 3][ 3]", 8, "element 6"),
+    ("[4][4][4][4][2][2][1]\n[ 5][ 5][ 5][ 5][ 5][ 3][ 3][ 3]", 8, "malformed"),
+    ("[ 4][ 4][ 4][ 4][ 2][ 2][ 1]", 8, "1 rows, expected 2"),
+    # rows a..b holding fewer cells than T(n) leave an element out
+    ("[ 4][ 4][ 4][ 4][ 2][ 2][ 1]", 7, "every element"),
+])
+def test_conservation_check_rejects_broken_rows(rebuilt_fault, text, b, fault):
+    assert fault in rebuilt_fault(text, 5, 7, b)
 
 
 def test_rendering_is_pure():
