@@ -31,7 +31,7 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, islice, pairwise, repeat
 from operator import le, sub
 
 from . import oracle, render
@@ -378,6 +378,8 @@ def _selftest_checks(max_n: int):
                 return value - 1, f"run count != odd divisor count at {value}"
             if any(not 0 < a <= b or (a + b) * (b - a + 1) != 2 * value for a, b in runs):
                 return value - 1, f"[a..b] is not a run of positive ints summing to {value}"
+            if any(x[0] >= y[0] for x, y in pairwise(runs)):
+                return value - 1, f"runs repeat or are not ascending by a at {value}"
             if value <= brute_limit and brute[value] != expected:
                 return value - 1, f"window scan disagrees at {value}"
         return limit, None

@@ -11,8 +11,8 @@ reductions:
   grouped into s pairs each summing to c = 2n - 2s + 1.  Targets below c are
   met exactly by swapping the larger members of two pairs whose difference
   matches the shortfall (the difference-pair construction), which
-  simultaneously meets the mirrored target above c.  Leftover pairs go to the
-  remaining targets, which stay open and are filled up by deeper layers.
+  simultaneously meets the mirrored target above c.  The other targets get
+  (c - q, q) for each q left over, stay open and are filled up by deeper layers.
 
 Every intermediate state keeps the pending amounts in a consecutive run whose
 sum is the triangular number of the remaining prefix, which is what makes the
@@ -27,8 +27,9 @@ the sum invariant, a > c holds exactly when n >= 3s, so such layers come in
 the two arithmetic progressions n-s-i, n-3s-i, ... and n-s+1+i, n-s+1+i-2s,
 ... of k terms each.  :func:`solve` works on plain ints and takes one step
 per peel, per stretch, and per remaining layer (a windowed layer, or the
-plain layer with a = c that closes the first target).  A trace, seven
-columns (documented at :func:`solve`), is built only when asked for.
+plain layer with a = c that closes the first target); a layer's s pairs are
+one flat list of 2s ends, as in the trace.  A trace, seven columns
+(documented at :func:`solve`), is built only when asked for.
 A stretch's entries are appended in bulk, not layer by layer: its n and pair
 sums are arithmetic progressions, its run starts the running sums of those
 pair sums, and its pair ends are laid out by strided slice assignment from
@@ -85,44 +86,36 @@ class Partition(_Value):
 _State = tuple[int, int, int]
 
 
-def _layer_step(
-    n: int, a: int, b: int
-) -> tuple[int, int, int | None, list[tuple[int, int]], _State]:
-    """One layer of the state (n, a, b), which needs a > n: ``(c, m, low, pairs, reduced)``.
+def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int | None, list[int], _State]:
+    """One layer of the state (n, a, b), which needs a > n: ``(c, m, low, ends, reduced)``.
 
-    ``pairs[i]`` is the pair given to amount a + i.  Amounts up to c + m are
-    met exactly; the others stay open and need the rest from ``reduced``.
+    Amount a + i gets ``ends[2i]`` and ``ends[2i + 1]``, as in the trace.  Amounts up
+    to c + m are met exactly; the others stay open and need the rest from ``reduced``.
     """
     s = b - a + 1
     assert n >= 2 * s, f"length bound violated for valid instance (n={n}, s={s})"
     c = 2 * n - 2 * s + 1
     m = max(0, c - a)
     assert b - c >= m, "mirror partner targets missing above c"
-
-    pairs: list[tuple[int, int] | None] = [None] * s
-    used_q: set[int] = set()
-    window_low: int | None = None
-    if m >= 1:
-        # 2m+1 consecutive values are guaranteed to fit inside Q; take the
-        # topmost such window so the output is uniquely determined.  Here
-        # a = c - m, so amount c - d sits at index m - d.
-        assert s >= 2 * m + 1, f"window exceeds Q (s={s}, m={m})"
-        window_low = n - 2 * m
-        for d, (x, xp) in enumerate(difference_pairs(m, window_low), start=1):
-            pairs[m - d] = (c - xp, x)
-            pairs[m + d] = (c - x, xp)
-            used_q.add(x)
-            used_q.add(xp)
-
-    leftover = [i for i in range(s) if pairs[i] is None]
-    leftover_q = [q for q in range(n - s + 1, n + 1) if q not in used_q]
-    assert len(leftover) == len(leftover_q)
-    for i, q in zip(leftover, leftover_q):
-        pairs[i] = (c - q, q)
+    # The window [low..n], the top 2m+1 values of Q = [n-s+1..n], holds the
+    # difference pairs (none when m = 0): (x, x') of difference d meets amount
+    # c - d, at index m - d, as (c - x', x) and c + d, at m + d, as (c - x, x').
+    assert s >= 2 * m + 1, f"window exceeds Q (s={s}, m={m})"
+    low = n - 2 * m
+    window = [*chain.from_iterable(difference_pairs(m, low) if m else ())]
+    assert len(window) == 2 * m, "difference pairs missing from the window"
+    xs, xps = window[0::2], window[1::2]
+    # The open amounts, a + m then a + 2m + 1 to b, get (c - q, q) for the q no
+    # pair took, in order: those below the window, then its spare one, which the
+    # window's sum (2m+1)(n-m) gives.
+    free = [*range(n - s + 1, low), (2 * m + 1) * (n - m) - sum(window)]
+    ends = [0] * (2 * s)
+    ends[1::2] = [*xs[::-1], free[0], *xps, *free[1:]]
+    ends[0::2] = map(c.__sub__, [*xps[::-1], free[0], *xs, *free[1:]])
 
     if n == 2 * s:
         assert b - c <= m, "residual targets but no elements left"
-    return c, m, window_low, pairs, (n - 2 * s, max(m + 1, a - c), b - c)
+    return c, m, low if m else None, ends, (n - 2 * s, max(m + 1, a - c), b - c)
 
 
 def _check_pending(n: int, a: int, b: int, pending: int) -> None:
@@ -202,13 +195,14 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
             n, a = n - span, _stretch_start(a, c, s, k)
             b = a + s - 1
         else:
-            c, m, low, pairs, reduced = _layer_step(n, a, b)
-            for target, pair in zip(targets, pairs):
-                blocks[target].extend(pair)
+            c, m, low, ends, reduced = _layer_step(n, a, b)
+            pair_ends = iter(ends)
+            for block, p, q in zip(map(blocks.get, targets), pair_ends, pair_ends):
+                block.append(p)
+                block.append(q)
             if want_trace:
-                for column, values in zip(trace, ([n], [a], [b], [c], [m], [low], chain(*pairs))):
+                for column, values in zip(trace, ([n], [a], [b], [c], [m], [low], ends)):
                     column += values
-            del pairs  # so that a wide layer's pairs are not held beside their ends
             n, a, b = reduced
         # the open targets are the last ones, in order
         targets = targets[s - (b - a + 1):]

@@ -323,6 +323,22 @@ def test_selftest_counts_only_the_passed_cases_of_a_failed_sweep(monkeypatch, ca
         ("solve-verify", 7, True), ("run-bijection", 6, False)]
 
 
+def test_selftest_finds_a_repeated_run(monkeypatch, capsys):
+    # the count and every run's sum still match; only the order shows the repeat
+    run_ends = cli._run_ends
+
+    def repeats_its_first_run(value):
+        runs = run_ends(value)
+        return runs[:1] + runs[:-1]
+
+    monkeypatch.setattr(cli, "_run_ends", repeats_its_first_run)
+    assert cli.main(["selftest", "20"]) == 1
+    out = capsys.readouterr().out
+    failure = "runs repeat or are not ascending by a at 3"
+    assert f"  run-bijection: FAIL after 2 cases: {failure}\n" in out
+    assert out.endswith("SELFTEST FAILED\n")
+
+
 def _interrupted(inst, want_trace=False):
     raise KeyboardInterrupt
 
@@ -490,8 +506,9 @@ def test_lists_of_int_dicts_match_stdlib_indent_2(items):
 
 
 # Reference trace writers, which build a dict per layer from the trace's
-# records (see trace_rows) and name each pair's kind themselves; cli._Trace
-# writes the same bytes straight from the solver's columns.
+# records (see trace_rows), pair each layer's ends and name each pair's kind
+# themselves; cli._Trace writes the same bytes straight from the solver's
+# columns.
 def _kind(t: int, c: int, m: int) -> str:
     if t - c > m:
         return "open"
@@ -503,19 +520,19 @@ def _trace_json(records: list[tuple]) -> list[dict]:
         {
             "n": n,
             "run": {"a": a, "b": b},
-            "s": len(pairs),
+            "s": len(ends) // 2,
             "c": c,
-            "p_range": [n - 2 * len(pairs) + 1, n - len(pairs)],
-            "q_range": [n - len(pairs) + 1, n],
+            "p_range": [n - len(ends) + 1, n - len(ends) // 2],
+            "q_range": [n - len(ends) // 2 + 1, n],
             "deficits": [c - t for t in range(a, b + 1)],
             "m": m,
             "l": low,
             "assignments": [
-                {"target": t, "pair": list(pair), "kind": _kind(t, c, m)}
-                for t, pair in zip(range(a, b + 1), pairs)
+                {"target": t, "pair": [p, q], "kind": _kind(t, c, m)}
+                for t, p, q in zip(range(a, b + 1), ends[0::2], ends[1::2])
             ],
         }
-        for n, a, b, c, m, low, pairs in records
+        for n, a, b, c, m, low, ends in records
     ]
 
 
@@ -591,6 +608,18 @@ def test_closed_stdout_is_not_an_error():
         stderr=subprocess.PIPE, text=True, timeout=120, preexec_fn=lambda: os.close(1),
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_widest_layer_is_answered_and_verified(run_cli):
+    # [128269..162643] over n = 10^5 starts with a windowed layer of 34,375
+    # targets, the widest layer any partition request reaches; its 142 open
+    # targets are then filled by plain layers
+    result = run_cli("partition", 100000, 128269, 162643, "--trace", "--json", "--no-timing")
+    assert (result.returncode, result.stderr) == (0, "")
+    reply = json.loads(result.stdout)["result"]
+    assert reply["verified"] is True
+    widths = [(layer["s"], layer["m"]) for layer in reply["trace"]]
+    assert widths == [(34375, 2982)] + [(142, 0)] * 10
 
 
 @pytest.mark.parametrize(

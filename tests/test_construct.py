@@ -32,11 +32,42 @@ def _instances(max_n: int, pred=None):
                 yield inst
 
 
+def reference_layer_step(n: int, a: int, b: int) -> tuple:
+    """``_layer_step`` one target at a time, as an independent reference.
+
+    Each amount gets a slot; the window's difference pairs fill the slots of
+    the amounts c - d and c + d, and the open slots then take, in order, the
+    Q values that no pair used.  The pairs are flattened only at the end.
+    """
+    s = b - a + 1
+    c = 2 * n - 2 * s + 1
+    m = max(0, c - a)
+    pairs: list[tuple[int, int] | None] = [None] * s
+    used_q: set[int] = set()
+    window_low = None
+    if m >= 1:
+        window_low = n - 2 * m
+        for d, (x, xp) in enumerate(difference_pairs(m, window_low), start=1):
+            pairs[m - d] = (c - xp, x)
+            pairs[m + d] = (c - x, xp)
+            used_q.update((x, xp))
+    leftover = [i for i in range(s) if pairs[i] is None]
+    leftover_q = [q for q in range(n - s + 1, n + 1) if q not in used_q]
+    assert len(leftover) == len(leftover_q)
+    for i, q in zip(leftover, leftover_q):
+        pairs[i] = (c - q, q)
+    ends = [e for pair in pairs for e in pair]
+    return c, m, window_low, ends, (n - 2 * s, max(m + 1, a - c), b - c)
+
+
 def reference_solve(inst: Instance) -> tuple[Partition, list[tuple]]:
-    """The solver as one peel or one ``_layer_step`` per step, with the full invariant each step.
+    """The solver as one peel or one ``reference_layer_step`` per step, checking
+    the full invariant at each step.
 
     ``solve`` takes a whole stretch of plain layers in one step; this is the
     per-layer loop it must agree with, block for block and record for record.
+    Each record is ``(n, a, b, c, m, low, ends)``, ``ends`` the layer's 2s
+    pair ends.
     """
     blocks: dict[int, list[int]] = {t: [] for t in inst.run.values()}
     # pending amount still needed -> original target
@@ -53,10 +84,10 @@ def reference_solve(inst: Instance) -> tuple[Partition, list[tuple]]:
                 blocks[owner.pop(t)].append(t)
             n = a - 1
             continue
-        c, m, low, pairs, reduced = _layer_step(n, a, b)
-        records.append((n, a, b, c, m, low, pairs))
+        c, m, low, ends, reduced = reference_layer_step(n, a, b)
+        records.append((n, a, b, c, m, low, ends))
         next_owner: dict[int, int] = {}
-        for amount, pair in zip(range(a, b + 1), pairs):
+        for amount, pair in zip(range(a, b + 1), zip(ends[0::2], ends[1::2])):
             target = owner.pop(amount)
             blocks[target].extend(pair)
             if amount - c > m:
@@ -64,7 +95,7 @@ def reference_solve(inst: Instance) -> tuple[Partition, list[tuple]]:
             else:
                 assert sum(pair) == amount
         owner = next_owner
-        n -= 2 * len(pairs)
+        n -= len(ends)
         assert reduced[0] == n
         if owner:
             assert reduced[1:] == (min(owner), max(owner))
@@ -76,14 +107,27 @@ def reference_solve(inst: Instance) -> tuple[Partition, list[tuple]]:
 
 def trace_rows(trace) -> list[tuple]:
     """``solve``'s trace columns as the records ``reference_solve`` builds: one
-    ``(n, a, b, c, m, low, pairs)`` per layer, whose pairs are its 2s pair ends."""
+    ``(n, a, b, c, m, low, ends)`` per layer, ``ends`` its 2s pair ends."""
     *columns, ends = trace
     rows, start = [], 0
     for n, a, b, c, m, low in zip(*columns):
         stop = start + 2 * (b - a + 1)
-        rows.append((n, a, b, c, m, low, list(zip(ends[start:stop:2], ends[start + 1:stop:2]))))
+        rows.append((n, a, b, c, m, low, ends[start:stop]))
         start = stop
     return rows
+
+
+def layer_states(max_n: int):
+    """Every layer state (n, a, b) that the per-layer loop reaches from a run
+    of T(n), n <= max_n."""
+    for inst in _instances(max_n):
+        n, a, b = inst.n, inst.run.a, inst.run.b
+        while a <= b:
+            if a <= n:
+                n, a = a - 1, n + 1
+            else:
+                yield n, a, b
+                n, a, b = reference_layer_step(n, a, b)[4]
 
 
 def seeded_instances(seed: int, max_n: int, drawn: int) -> list[Instance]:
@@ -190,58 +234,66 @@ def test_peel_instances_exist_and_reduce_validly():
 
 
 def test_layer_worked_example():
-    c, m, low, pairs, reduced = _layer_step(14, 15, 20)
+    c, m, low, ends, reduced = _layer_step(14, 15, 20)
     assert (c, m, low) == (17, 2, 10)
-    assert pairs == [(3, 12), (6, 10), (8, 9), (7, 11), (5, 14), (4, 13)]
+    assert ends == [3, 12, 6, 10, 8, 9, 7, 11, 5, 14, 4, 13]
     # P = [3..8] and Q = [9..14], one of each in every pair
-    assert sorted(p for p, _ in pairs) == list(range(3, 9))
-    assert sorted(q for _, q in pairs) == list(range(9, 15))
+    assert sorted(ends[0::2]) == list(range(3, 9))
+    assert sorted(ends[1::2]) == list(range(9, 15))
     assert reduced == (2, 3, 3)
 
 
 def test_layer_small_examples():
-    assert _layer_step(5, 7, 8) == (7, 0, None, [(3, 4), (2, 5)], (1, 1, 1))
+    assert _layer_step(5, 7, 8) == (7, 0, None, [3, 4, 2, 5], (1, 1, 1))
     # nothing is left: the reduced state has n = 0 and the empty run a = b + 1
-    assert _layer_step(2, 3, 3) == (3, 0, None, [(1, 2)], (0, 1, 0))
+    assert _layer_step(2, 3, 3) == (3, 0, None, [1, 2], (0, 1, 0))
 
 
 def test_layer_all_positive_deficits():
     # a > c: no zero-deficit target, every pair stays open
-    c, m, low, pairs, reduced = _layer_step(9, 22, 23)
+    c, m, low, ends, reduced = _layer_step(9, 22, 23)
     assert (c, m, low) == (15, 0, None)
-    assert pairs == [(7, 8), (6, 9)]
+    assert ends == [7, 8, 6, 9]
     assert reduced == (5, 7, 8)
 
 
 def test_layer_conservation_and_sums_sweep():
     for inst in _instances(120, lambda i: i.run.a > i.n):
         n, a, b = inst.n, inst.run.a, inst.run.b
-        c, m, low, pairs, reduced = _layer_step(n, a, b)
+        c, m, low, ends, reduced = _layer_step(n, a, b)
         s = b - a + 1
-        assert len(pairs) == s
-        assert sorted(e for pair in pairs for e in pair) == list(range(n - 2 * s + 1, n + 1))
+        assert len(ends) == 2 * s
+        assert sorted(ends) == list(range(n - 2 * s + 1, n + 1))
         assert (low is None) == (m == 0)
         open_amounts = []
-        for t, pair in zip(range(a, b + 1), pairs):
+        for t, p, q in zip(range(a, b + 1), ends[0::2], ends[1::2]):
             if t - c <= m:
-                assert sum(pair) == t
+                assert p + q == t
             else:
-                assert sum(pair) == c
+                assert p + q == c
                 open_amounts.append(t - c)
         assert reduced[0] == n - 2 * s
         assert open_amounts == list(range(reduced[1], reduced[2] + 1))
+
+
+def test_layer_step_matches_the_per_target_reference():
+    wide = [(100000, 128269, 162643), (10000, 12888, 16312)]
+    for state in [*layer_states(300), *wide]:
+        assert _layer_step(*state) == reference_layer_step(*state), state
 
 
 def test_layer_mirror_symmetry_sweep():
     seen_mirrors = 0
     for inst in _instances(200, lambda i: i.run.a > i.n):
         a = inst.run.a
-        c, m, low, pairs, _ = _layer_step(inst.n, a, inst.run.b)
+        c, m, low, ends, _ = _layer_step(inst.n, a, inst.run.b)
         if m == 0:
             continue
         seen_mirrors += 1
         for d in range(1, m + 1):
-            lo, hi = pairs[c - d - a], pairs[c + d - a]
+            # amount t has the ends 2(t - a) and 2(t - a) + 1
+            i, j = 2 * (c - d - a), 2 * (c + d - a)
+            lo, hi = ends[i:i + 2], ends[j:j + 2]
             x, xp = lo[1], hi[1]
             assert xp - x == d
             assert low <= x < xp <= low + 2 * m
