@@ -388,13 +388,13 @@ def _selftest_checks(max_n: int):
         cases = 0
         for m in range(1, min(max_n, 500) + 1):
             for low in (1, 7, 10**6):
-                pairs = difference_pairs(m, low)
-                values = [v for pair in pairs for v in pair]
+                xs, xps = difference_pairs(m, low)
+                values = xs + xps
                 ok = (
                     len(set(values)) == 2 * m
                     and min(values) == low
                     and max(values) <= 2 * m + low
-                    and all(hi - lo == i for i, (lo, hi) in enumerate(pairs, 1))
+                    and list(map(sub, xps, xs)) == list(range(1, m + 1))
                 )
                 if not ok:
                     return cases, f"difference pairs broken at m={m}, low={low}"

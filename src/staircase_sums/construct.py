@@ -11,8 +11,10 @@ reductions:
   grouped into s pairs each summing to c = 2n - 2s + 1.  Targets below c are
   met exactly by swapping the larger members of two pairs whose difference
   matches the shortfall (the difference-pair construction), which
-  simultaneously meets the mirrored target above c.  The other targets get
-  (c - q, q) for each q left over, stay open and are filled up by deeper layers.
+  simultaneously meets the mirrored target above c; the m pairs fill a window
+  of 2m+1 values as four arithmetic progressions and one spare value.  The
+  other targets get (c - q, q) for each q left over, stay open and are filled
+  up by deeper layers.
 
 Every intermediate state keeps the pending amounts in a consecutive run whose
 sum is the triangular number of the remaining prefix, which is what makes the
@@ -38,34 +40,29 @@ the progressions just added to the blocks.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import sub
 
 from .runs import ConsecutiveRun, Instance, _Value
 
 
-def difference_pairs(m: int, low: int) -> tuple[tuple[int, int], ...]:
-    """Build pairs with differences 1..m inside a window of 2m+1 consecutive integers.
+def difference_pairs(m: int, low: int) -> tuple[list[int], list[int]]:
+    """Pairs with differences 1..m in the window [low..low+2m], as columns ``(xs, xps)``.
 
-    Odd-indexed pairs nest outward from (ceil(m/2), ceil(m/2)+1); even-indexed
-    pairs nest outward from (ceil(m/2)+m, 2m+2-floor(m/2)); everything is then
-    shifted so the smallest value is ``low``.  All 2m values are distinct and
-    fit in [low, 2m+low].
+    Pair d is ``(xs[d-1], xps[d-1])``, and ``xps[d-1] - xs[d-1] = d``.  With
+    h = low + (m-1)//2, odd d nest outward from (h, h+1) and even d from
+    (h+m, h+m+2): four arithmetic progressions, which leave out only h+m+1.
     """
     if m < 1 or low < 1:
         raise ValueError(f"need m >= 1 and low >= 1, got m={m}, low={low}")
-    half_up = (m + 1) // 2
-    shift = low - 1
-    pairs = []
-    for i in range(1, m + 1):
-        if i % 2 == 1:
-            k = (i - 1) // 2
-            lo, hi = half_up - k, half_up + 1 + k
-        else:
-            k = (i - 2) // 2
-            lo, hi = half_up + m - k, 2 * m + 2 - m // 2 + k
-        pairs.append((lo + shift, hi + shift))
-    return tuple(pairs)
+    h = low + (m - 1) // 2
+    up, down = (m + 1) // 2, m // 2
+    xs, xps = [0] * m, [0] * m
+    xs[0::2] = range(h, h - up, -1)
+    xps[0::2] = range(h + 1, h + 1 + up)
+    xs[1::2] = range(h + m, h + m - down, -1)
+    xps[1::2] = range(h + m + 2, h + m + 2 + down)
+    return xs, xps
 
 
 class Partition(_Value):
@@ -102,13 +99,12 @@ def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int | None, list[int]
     # c - d, at index m - d, as (c - x', x) and c + d, at m + d, as (c - x, x').
     assert s >= 2 * m + 1, f"window exceeds Q (s={s}, m={m})"
     low = n - 2 * m
-    window = [*chain.from_iterable(difference_pairs(m, low) if m else ())]
-    assert len(window) == 2 * m, "difference pairs missing from the window"
-    xs, xps = window[0::2], window[1::2]
+    xs, xps = difference_pairs(m, low) if m else ([], [])
+    assert len(xs) == len(xps) == m, "difference pairs missing from the window"
     # The open amounts, a + m then a + 2m + 1 to b, get (c - q, q) for the q no
     # pair took, in order: those below the window, then its spare one, which the
     # window's sum (2m+1)(n-m) gives.
-    free = [*range(n - s + 1, low), (2 * m + 1) * (n - m) - sum(window)]
+    free = [*range(n - s + 1, low), (2 * m + 1) * (n - m) - sum(xs) - sum(xps)]
     ends = [0] * (2 * s)
     ends[1::2] = [*xs[::-1], free[0], *xps, *free[1:]]
     ends[0::2] = map(c.__sub__, [*xps[::-1], free[0], *xs, *free[1:]])

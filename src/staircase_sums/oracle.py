@@ -170,8 +170,7 @@ def _list_partitions(inst: Instance, cap: int) -> list[Partition]:
                 continue
             if found[e] == len(out):
                 dead.add(states[e])
-            if e == n:
-                break
+            assert e < n, f"census counted more partitions than the {len(out)} listed"
         # no target left to try here: go up, take back the element placed
         # there and try its next target
         e += 1

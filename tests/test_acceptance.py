@@ -7,6 +7,7 @@ lines and timings.
 from __future__ import annotations
 
 import time
+from operator import sub
 
 from staircase_sums import oracle, render
 from staircase_sums.construct import difference_pairs, solve
@@ -87,13 +88,13 @@ def test_criterion_4_difference_pair_sweep():
     failures = 0
     for m in range(1, 501):
         for low in (1, 7, 10**6):
-            pairs = difference_pairs(m, low)
-            values = [v for pair in pairs for v in pair]
+            xs, xps = difference_pairs(m, low)
+            values = xs + xps
             if not (
                 len(set(values)) == 2 * m
                 and min(values) == low
                 and max(values) <= 2 * m + low
-                and all(hi - lo == i for i, (lo, hi) in enumerate(pairs, 1))
+                and list(map(sub, xps, xs)) == list(range(1, m + 1))
             ):
                 failures += 1
     elapsed = time.perf_counter() - started

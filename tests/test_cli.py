@@ -339,6 +339,17 @@ def test_selftest_finds_a_repeated_run(monkeypatch, capsys):
     assert out.endswith("SELFTEST FAILED\n")
 
 
+def test_an_overstated_census_under_list_exits_1(monkeypatch, capsys):
+    # [7..8] over 5 has 3 partitions; a count of 4 cannot be met by the listing
+    count_partitions = oracle._count_partitions
+    monkeypatch.setattr(oracle, "_count_partitions", lambda n, t: count_partitions(n, t) + 1)
+    for args in (["count", "5", "7", "8", "--list"], ["count", "5", "7", "8", "--list", "--json"]):
+        assert cli.main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal defect: census counted more partitions than the 3 listed\n"
+
+
 def _interrupted(inst, want_trace=False):
     raise KeyboardInterrupt
 
@@ -589,11 +600,18 @@ def test_a_peel_only_run_writes_an_empty_trace(capsys, n):
     assert out.startswith(f"n = {n}, run = [1..{n}]\n") and "layer" not in out
 
 
-def test_closed_pipe_exits_141_without_traceback(spawn_cli):
-    # about 800 kB of text, well past the pipe's buffer, so a write meets the
-    # closed pipe
-    child = spawn_cli("partition", 10000, 50005000, 50005000, "--trace")
-    assert child.stdout.readline().startswith(b"layer 1: n=10000 ")
+@pytest.mark.parametrize("args,first_line", [
+    (("partition", 10000, 50005000, 50005000, "--trace"), b"layer 1: n=10000 "),
+    (("runs", 6181604729214089175), b"6181604729214089175 has 46080 "),
+    (("runs", 6181604729214089175, "--json"), b"{"),
+    (("count", 35, 9, 36, "--list", "--limit", 10000), b"n = 35, run = [9..36]"),
+    (("count", 35, 9, 36, "--list", "--limit", 10000, "--json"), b"{"),
+], ids=["trace", "runs", "runs-json", "list", "list-json"])
+def test_closed_pipe_exits_141_without_traceback(spawn_cli, args, first_line):
+    # each reply (0.8 to 12 MB) is well past the pipe's buffer, so a write of
+    # the trace, runs or listing writer meets the closed pipe
+    child = spawn_cli(*args)
+    assert child.stdout.readline().startswith(first_line)
     child.stdout.close()
     err = child.stderr.read()
     assert child.wait(timeout=120) == 141

@@ -32,6 +32,27 @@ def _instances(max_n: int, pred=None):
                 yield inst
 
 
+def reference_difference_pairs(m: int, low: int) -> tuple[tuple[int, int], ...]:
+    """``difference_pairs`` one pair at a time, as an independent reference.
+
+    Pair i (differences 1..m) is built from its own index: odd i nest outward
+    from (ceil(m/2), ceil(m/2)+1), even i from (ceil(m/2)+m, 2m+2-floor(m/2)),
+    all shifted so that the smallest value is ``low``.
+    """
+    half_up = (m + 1) // 2
+    shift = low - 1
+    pairs = []
+    for i in range(1, m + 1):
+        if i % 2 == 1:
+            k = (i - 1) // 2
+            lo, hi = half_up - k, half_up + 1 + k
+        else:
+            k = (i - 2) // 2
+            lo, hi = half_up + m - k, 2 * m + 2 - m // 2 + k
+        pairs.append((lo + shift, hi + shift))
+    return tuple(pairs)
+
+
 def reference_layer_step(n: int, a: int, b: int) -> tuple:
     """``_layer_step`` one target at a time, as an independent reference.
 
@@ -47,7 +68,7 @@ def reference_layer_step(n: int, a: int, b: int) -> tuple:
     window_low = None
     if m >= 1:
         window_low = n - 2 * m
-        for d, (x, xp) in enumerate(difference_pairs(m, window_low), start=1):
+        for d, (x, xp) in enumerate(reference_difference_pairs(m, window_low), start=1):
             pairs[m - d] = (c - xp, x)
             pairs[m + d] = (c - x, xp)
             used_q.update((x, xp))
@@ -159,9 +180,9 @@ def valid_instances(draw, max_n=300):
 @pytest.mark.parametrize(
     "m,low,expected",
     [
-        (1, 1, ((1, 2),)),
-        (2, 10, ((10, 11), (12, 14))),
-        (3, 1, ((2, 3), (5, 7), (1, 4))),
+        (1, 1, ([1], [2])),
+        (2, 10, ([10, 12], [11, 14])),
+        (3, 1, ([2, 5, 1], [3, 7, 4])),
     ],
 )
 def test_difference_pairs_examples(m, low, expected):
@@ -180,18 +201,29 @@ def test_difference_pairs_contract_errors(m, low):
     st.sampled_from([1, 7, 10**6]),
 )
 def test_difference_pairs_invariants(m, low):
-    pairs = difference_pairs(m, low)
-    values = [v for pair in pairs for v in pair]
-    assert len(pairs) == m
+    xs, xps = difference_pairs(m, low)
+    values = xs + xps
+    assert len(xs) == len(xps) == m
     assert len(set(values)) == 2 * m
     assert min(values) == low
     assert max(values) <= 2 * m + low
-    assert all(hi - lo == i for i, (lo, hi) in enumerate(pairs, start=1))
+    assert [xp - x for x, xp in zip(xs, xps)] == list(range(1, m + 1))
+
+
+def test_difference_pairs_match_the_per_pair_reference():
+    # m = 2982 is the window of the widest layer, [128269..162643] over 10^5
+    for m in [*range(1, 1001), 2982]:
+        for low in (1, 7, 10**6):
+            xs, xps = difference_pairs(m, low)
+            assert (xs, xps) == tuple(map(list, zip(*reference_difference_pairs(m, low)))), (m, low)
+            spare = set(range(low, low + 2 * m + 1)).difference(xs, xps)
+            assert spare == {low + (m - 1) // 2 + m + 1}, (m, low)
 
 
 def test_difference_pairs_m1_stays_below_window_top():
     for low in (1, 7, 10**6):
-        assert max(v for pair in difference_pairs(1, low) for v in pair) == 2 + low - 1
+        xs, xps = difference_pairs(1, low)
+        assert max(xs + xps) == 2 + low - 1
 
 
 # ---------------------------------------------------------------- peel
