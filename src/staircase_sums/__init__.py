@@ -12,7 +12,6 @@ from .construct import Partition, difference_pairs, solve
 from .oracle import (
     VerifyReport,
     count_runs_bruteforce,
-    count_runs_bruteforce_upto,
     enumerate_all,
     verify,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "VerifyReport",
     "check_length_bound",
     "count_runs_bruteforce",
-    "count_runs_bruteforce_upto",
     "difference_pairs",
     "enumerate_all",
     "enumerate_runs",

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``runs``, ``partition``, ``count``, ``render``, ``selftest``.
+Subcommands: ``runs``, ``partition``, ``count``, ``render``.
 Every subcommand accepts ``--json`` (emit a machine-readable envelope, see
 ``envelope_schema.json``) and ``--no-timing`` (omit the envelope's timing
 field so output bytes are reproducible).
@@ -31,19 +31,12 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, groupby, islice, pairwise, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import le, sub
 
 from . import oracle, render
-from .construct import Partition, difference_pairs, solve
-from .runs import (
-    ConsecutiveRun,
-    Instance,
-    _run_ends,
-    check_length_bound,
-    enumerate_runs,
-    triangular,
-)
+from .construct import Partition, solve
+from .runs import ConsecutiveRun, Instance, _run_ends
 
 SCHEMA_VERSION = "1"
 DEFAULT_LIST_LIMIT = 20
@@ -52,7 +45,6 @@ DEFAULT_LIST_LIMIT = 20
 PARTITION_MAX_N = 10**5
 COUNT_MAX_N = 250_000
 RENDER_MAX_WIDTH = 100  # longest staircase or rebuilt row, in cells
-SELFTEST_MAX_N = 1000
 LIST_MAX_LIMIT = 10_000  # largest --limit that count --list accepts
 
 
@@ -347,90 +339,6 @@ def text_render(input_echo: dict, result: dict):
         yield from ["", *result["rebuilt"]]
 
 
-def _selftest_checks(max_n: int):
-    """Yield (name, sweep) per sweep; a sweep returns (cases, failure or None)."""
-
-    def sweep_solve() -> tuple[int, str | None]:
-        cases = 0
-        for n in range(1, max_n + 1):
-            for run in enumerate_runs(triangular(n)):
-                inst = Instance(n, run)
-                if run.a > n and not check_length_bound(inst):
-                    return cases, f"length bound failed at n={n}, run={run}"
-                partition, _ = solve(inst)
-                report = oracle.verify(n, run, partition)
-                if not report.ok:
-                    return cases, (
-                        f"verify failed at n={n}, run={run}: {report.violations[:3]}"
-                    )
-                cases += 1
-        return cases, None
-
-    def sweep_bijection() -> tuple[int, str | None]:
-        limit = min(triangular(max_n), 10**5)
-        brute_limit = min(limit, 10**4)
-        brute = oracle.count_runs_bruteforce_upto(brute_limit)
-        sieve = oracle.odd_divisor_counts_upto(limit)
-        for value in range(1, limit + 1):
-            runs = _run_ends(value)
-            expected = sieve[value]
-            if len(runs) != expected:
-                return value - 1, f"run count != odd divisor count at {value}"
-            if any(not 0 < a <= b or (a + b) * (b - a + 1) != 2 * value for a, b in runs):
-                return value - 1, f"[a..b] is not a run of positive ints summing to {value}"
-            if any(x[0] >= y[0] for x, y in pairwise(runs)):
-                return value - 1, f"runs repeat or are not ascending by a at {value}"
-            if value <= brute_limit and brute[value] != expected:
-                return value - 1, f"window scan disagrees at {value}"
-        return limit, None
-
-    def sweep_pairs() -> tuple[int, str | None]:
-        cases = 0
-        for m in range(1, min(max_n, 500) + 1):
-            for low in (1, 7, 10**6):
-                xs, xps = difference_pairs(m, low)
-                values = xs + xps
-                ok = (
-                    len(set(values)) == 2 * m
-                    and min(values) == low
-                    and max(values) <= 2 * m + low
-                    and list(map(sub, xps, xs)) == list(range(1, m + 1))
-                )
-                if not ok:
-                    return cases, f"difference pairs broken at m={m}, low={low}"
-                cases += 1
-        return cases, None
-
-    yield "solve-verify", sweep_solve
-    yield "run-bijection", sweep_bijection
-    yield "difference-pairs", sweep_pairs
-
-
-def cmd_selftest(args: argparse.Namespace) -> tuple[dict, dict, int]:
-    if not 1 <= args.max_n <= SELFTEST_MAX_N:
-        raise ValueError(f"max_n must be in 1..{SELFTEST_MAX_N}, got {args.max_n}")
-    checks = []
-    for name, sweep in _selftest_checks(args.max_n):
-        cases, failure = sweep()
-        entry: dict = {"name": name, "cases": cases, "ok": failure is None}
-        checks.append(entry)
-        if failure is not None:
-            entry["failure"] = failure
-            break
-    ok = all(entry["ok"] for entry in checks)
-    return {"max_n": args.max_n}, {"ok": ok, "checks": checks}, 0 if ok else 1
-
-
-def text_selftest(input_echo: dict, result: dict):
-    yield f"selftest max_n={input_echo['max_n']}"
-    for check in result["checks"]:
-        if check["ok"]:
-            yield f"  {check['name']}: {check['cases']} cases ok"
-        else:
-            yield f"  {check['name']}: FAIL after {check['cases']} cases: {check['failure']}"
-    yield "all checks passed" if result["ok"] else "SELFTEST FAILED"
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later one."""
@@ -486,11 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int, nargs="?", default=None)
     p.add_argument("b", type=int, nargs="?", default=None)
     p.set_defaults(handler=cmd_render, text=text_render)
-
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the property sweeps up to max_n")
-    p.add_argument("max_n", type=int, help=f"largest n swept, at most {SELFTEST_MAX_N}")
-    p.set_defaults(handler=cmd_selftest, text=text_selftest)
 
     return parser
 

@@ -231,40 +231,3 @@ def count_runs_bruteforce(value: int) -> int:
         a += 1
     return count
 
-
-def count_runs_bruteforce_upto(limit: int) -> list[int]:
-    """Window-scan counts for every value <= limit in a single pass.
-
-    ``result[v] == count_runs_bruteforce(v)`` for 1 <= v <= limit (index 0 is
-    unused); the per-value equivalence is pinned by tests.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > BRUTEFORCE_MAX:
-        raise ValueError(f"limit must be <= {BRUTEFORCE_MAX}, got {limit}")
-    counts = [0] * (limit + 1)
-    for a in range(1, limit + 1):
-        total = 0
-        for b in range(a, limit + 1):
-            total += b
-            if total > limit:
-                break
-            counts[total] += 1
-    return counts
-
-
-def odd_divisor_counts_upto(limit: int) -> list[int]:
-    """Number of odd divisors of every value <= limit, by a sieve.
-
-    ``result[v]`` counts the odd d dividing v, for 1 <= v <= limit (index 0 is
-    unused): each odd d adds one to each of its multiples.  No value is
-    factored, so the counts are independent of
-    :func:`staircase_sums.runs.odd_divisors`.
-    """
-    if not 1 <= limit <= BRUTEFORCE_MAX:
-        raise ValueError(f"limit must be in 1..{BRUTEFORCE_MAX}, got {limit}")
-    counts = [0] * (limit + 1)
-    for d in range(1, limit + 1, 2):
-        for multiple in range(d, limit + 1, d):
-            counts[multiple] += 1
-    return counts

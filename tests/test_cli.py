@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -25,7 +26,6 @@ from staircase_sums.cli import (
     LIST_MAX_LIMIT,
     PARTITION_MAX_N,
     RENDER_MAX_WIDTH,
-    SELFTEST_MAX_N,
 )
 from staircase_sums.construct import Partition
 from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
@@ -54,12 +54,10 @@ GOLDEN_COMMANDS = {
     "render_5.json": ["render", 5],
     "render_1.json": ["render", 1],
     "render_5_7_8.json": ["render", 5, 7, 8],
-    "selftest_12.json": ["selftest", 12],
 }
-# the text reply of each golden command, plus a larger selftest
+# the text reply of each golden command
 GOLDEN_TEXT_COMMANDS = {
-    **{name.replace(".json", ".txt"): args for name, args in GOLDEN_COMMANDS.items()},
-    "selftest_30.txt": ["selftest", 30],
+    name.replace(".json", ".txt"): args for name, args in GOLDEN_COMMANDS.items()
 }
 
 
@@ -84,6 +82,16 @@ def test_golden_text(run_cli, golden_dir, golden_name):
     result = run_cli(*GOLDEN_TEXT_COMMANDS[golden_name])
     assert result.returncode == 0, result.stderr
     assert result.stdout == (golden_dir / golden_name).read_text()
+
+
+def test_schema_names_exactly_the_parser_commands(envelope_schema):
+    # a branch left for a removed command would pass every envelope test
+    [subparsers] = [action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    commands = sorted(subparsers.choices)
+    assert sorted(envelope_schema["properties"]["command"]["enum"]) == commands
+    assert sorted(branch["if"]["properties"]["command"]["const"]
+                  for branch in envelope_schema["allOf"]) == commands
 
 
 def test_repeated_runs_are_byte_identical(run_cli):
@@ -176,9 +184,7 @@ def test_runs_of_large_64_bit_values(run_cli, value, odd_divisor_count):
         ["partition", 5, 9, 7],
         ["render", 5, 7],
         ["render", 0],
-        ["selftest", 0],
         ["partition", PARTITION_MAX_N + 1, 1, 1],
-        ["selftest", SELFTEST_MAX_N + 1],
         # past the census state cap, and past its bound on n
         ["count", 35, 66, 74, "--force"],
         ["count", 250001, 31250375001, 31250375001, "--force"],
@@ -239,12 +245,19 @@ def test_shared_parser_leaks_nothing_between_calls(monkeypatch, capsys, run_cli)
         ["--help"],
         ["partition", "--help"],
         ["count", "31", "496", "496", "--force"],
+        # the removed selftest command: refused by the parser
+        ["selftest", "12"],
+        ["selftest", "1000", "--json"],
     ]
     for argv in calls:
         code = cli.main(argv)
         out, err = capsys.readouterr()
         child = run_cli(*argv)
         assert (code, out, err) == (child.returncode, child.stdout, child.stderr), argv
+        if argv[0] == "selftest":
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("usage: staircase-sums [-h]"), argv
+            assert "invalid choice: 'selftest'" in err, argv
     assert cli.build_parser() is cli.build_parser()
 
 
@@ -255,12 +268,6 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=120)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
-
-
-def test_selftest_passes(run_cli):
-    result = run_cli("selftest", 25)
-    assert result.returncode == 0
-    assert "all checks passed" in result.stdout
 
 
 def test_partition_that_fails_verify_exits_1(monkeypatch, capsys, envelope_schema):
@@ -284,59 +291,6 @@ def test_partition_that_fails_verify_exits_1(monkeypatch, capsys, envelope_schem
     jsonschema.validate(payload, envelope_schema)
     assert payload["result"]["verified"] is False
     assert err.startswith("internal defect: verify found")
-
-
-def test_selftest_that_fails_a_sweep_exits_1(monkeypatch, capsys, envelope_schema):
-    verify = oracle.verify
-
-    def fails_at_n_3(n, run, partition):
-        report = verify(n, run, partition)
-        return oracle.VerifyReport(False, (("planted", n),)) if n == 3 else report
-
-    monkeypatch.setattr(cli.oracle, "verify", fails_at_n_3)
-    assert cli.main(["selftest", "5"]) == 1
-    out = capsys.readouterr().out
-    assert "  solve-verify: FAIL after 3 cases: verify failed at n=3" in out
-    assert out.endswith("SELFTEST FAILED\n")
-    assert cli.main(["selftest", "5", "--json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    jsonschema.validate(payload, envelope_schema)
-    [check] = payload["result"]["checks"]
-    assert check["ok"] is False and check["failure"].startswith("verify failed at n=3")
-    assert payload["result"]["ok"] is False
-
-
-def test_selftest_counts_only_the_passed_cases_of_a_failed_sweep(monkeypatch, capsys):
-    run_ends = cli._run_ends
-
-    def drops_a_run_at_7(value):
-        runs = run_ends(value)
-        return runs[1:] if value == 7 else runs
-
-    monkeypatch.setattr(cli, "_run_ends", drops_a_run_at_7)
-    assert cli.main(["selftest", "4"]) == 1
-    out = capsys.readouterr().out
-    assert "  run-bijection: FAIL after 6 cases: run count != odd divisor count at 7\n" in out
-    assert cli.main(["selftest", "4", "--json"]) == 1
-    checks = json.loads(capsys.readouterr().out)["result"]["checks"]
-    assert [(c["name"], c["cases"], c["ok"]) for c in checks] == [
-        ("solve-verify", 7, True), ("run-bijection", 6, False)]
-
-
-def test_selftest_finds_a_repeated_run(monkeypatch, capsys):
-    # the count and every run's sum still match; only the order shows the repeat
-    run_ends = cli._run_ends
-
-    def repeats_its_first_run(value):
-        runs = run_ends(value)
-        return runs[:1] + runs[:-1]
-
-    monkeypatch.setattr(cli, "_run_ends", repeats_its_first_run)
-    assert cli.main(["selftest", "20"]) == 1
-    out = capsys.readouterr().out
-    failure = "runs repeat or are not ascending by a at 3"
-    assert f"  run-bijection: FAIL after 2 cases: {failure}\n" in out
-    assert out.endswith("SELFTEST FAILED\n")
 
 
 def test_an_overstated_census_under_list_exits_1(monkeypatch, capsys):
@@ -665,7 +619,6 @@ def test_long_replies_are_streamed(run_cli, args):
         ["runs", 720720],
         ["count", 14, 15, 20, "--list", "--limit", 30],
         ["render", 5, 7, 8],
-        ["selftest", 12],
     ],
 )
 def test_json_replies_are_stdlib_indent_2(capsys, args):

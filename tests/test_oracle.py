@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from staircase_sums import oracle
 from staircase_sums.construct import Partition, solve
 from staircase_sums.oracle import (
+    BRUTEFORCE_MAX,
     DUPLICATE_ELEMENT,
     FOREIGN_ELEMENT,
     MISSING_ELEMENT,
     WRONG_SUM,
     WRONG_TARGET_SET,
     count_runs_bruteforce,
-    count_runs_bruteforce_upto,
     enumerate_all,
     verify,
 )
@@ -348,6 +348,44 @@ def test_enumerate_all_contains_solver_output():
 
 
 # ---------------------------------------------------------------- window scan
+
+
+def count_runs_bruteforce_upto(limit: int) -> list[int]:
+    """Window-scan counts for every value <= limit in a single pass.
+
+    ``result[v] == count_runs_bruteforce(v)`` for 1 <= v <= limit (index 0 is
+    unused); the per-value equivalence is pinned by tests.
+    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    if limit > BRUTEFORCE_MAX:
+        raise ValueError(f"limit must be <= {BRUTEFORCE_MAX}, got {limit}")
+    counts = [0] * (limit + 1)
+    for a in range(1, limit + 1):
+        total = 0
+        for b in range(a, limit + 1):
+            total += b
+            if total > limit:
+                break
+            counts[total] += 1
+    return counts
+
+
+def odd_divisor_counts_upto(limit: int) -> list[int]:
+    """Number of odd divisors of every value <= limit, by a sieve.
+
+    ``result[v]`` counts the odd d dividing v, for 1 <= v <= limit (index 0 is
+    unused): each odd d adds one to each of its multiples.  No value is
+    factored, so the counts are independent of
+    :func:`staircase_sums.runs.odd_divisors`.
+    """
+    if not 1 <= limit <= BRUTEFORCE_MAX:
+        raise ValueError(f"limit must be in 1..{BRUTEFORCE_MAX}, got {limit}")
+    counts = [0] * (limit + 1)
+    for d in range(1, limit + 1, 2):
+        for multiple in range(d, limit + 1, d):
+            counts[multiple] += 1
+    return counts
 
 
 @pytest.mark.parametrize("value,expected", [(15, 4), (1, 1), (105, 8), (8, 1)])
