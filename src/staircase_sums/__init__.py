@@ -19,7 +19,6 @@ from .render import render_rebuilt, render_staircase
 from .runs import (
     ConsecutiveRun,
     Instance,
-    check_length_bound,
     enumerate_runs,
     odd_divisors,
     triangular,
@@ -32,7 +31,6 @@ __all__ = [
     "Instance",
     "Partition",
     "VerifyReport",
-    "check_length_bound",
     "count_runs_bruteforce",
     "difference_pairs",
     "enumerate_all",

@@ -327,7 +327,11 @@ def cmd_render(args: argparse.Namespace) -> tuple[dict, dict, int]:
     input_echo: dict = {"n": args.n}
     result: dict = {"staircase": render.render_staircase(args.n).split("\n")}
     if args.a is not None:
-        partition, _ = solve(Instance(args.n, ConsecutiveRun(args.a, args.b)))
+        inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
+        partition, _ = solve(inst)
+        report = oracle.verify(inst.n, inst.run, partition)
+        if not report.ok:  # cannot happen unless the solver is defective; draws nothing
+            raise AssertionError(f"verify found {report.violations}")
         input_echo = {"n": args.n, "a": args.a, "b": args.b}
         result["rebuilt"] = render.render_rebuilt(partition).split("\n")
     return input_echo, result, 0

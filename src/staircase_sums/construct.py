@@ -18,7 +18,9 @@ reductions:
 
 Every intermediate state keeps the pending amounts in a consecutive run whose
 sum is the triangular number of the remaining prefix, which is what makes the
-recursion close.
+recursion close.  Each reduction meets amounts from the front of that run, so
+the targets still open are always the last ones, in order, and :func:`solve`
+keeps their blocks as a tail of one list.
 
 Most layers are *plain*: m = c - a <= 0, so there is no difference-pair
 window and the i-th target just gets the pair (n-s-i, n-s+1+i).  A plain
@@ -142,19 +144,19 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
     and ``low`` is the bottom of the difference-pair window when m >= 1, else None.
     """
     n, a, b = inst.n, inst.run.a, inst.run.b
-    blocks: dict[int, list[int]] = {t: [] for t in range(a, b + 1)}
-    # targets[i] is the original target that still needs amount a + i
-    targets = list(blocks)
+    # one block per target, in target order; opened[i] still needs amount a + i
+    blocks: list[list[int]] = [[] for _ in range(a, b + 1)]
+    opened = blocks
     trace = tuple([] for _ in range(7)) if want_trace else None
 
-    while targets:
-        s = len(targets)
+    while opened:
+        s = len(opened)
         _check_pending(n, a, b, s)
         if a <= n:
             # a peel: amount t in [a..n] gets the singleton {t}, which leaves
             # {1..a-1} for the amounts [n+1..b]
-            for target, t in zip(targets, range(a, n + 1)):
-                blocks[target].append(t)
+            for block, t in zip(opened, range(a, n + 1)):
+                block.append(t)
             n, a = a - 1, n + 1
         elif n >= 3 * s:
             # A stretch of k plain layers that leave every target open: with
@@ -163,8 +165,7 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
             k = (n - s) // (2 * s)
             step = 2 * s
             span = step * k
-            for i, target in enumerate(targets):
-                block = blocks[target]
+            for i, block in enumerate(opened):
                 block.extend(range(n - s - i, n - s - i - span, -step))
                 block.extend(range(n - s + 1 + i, n - s + 1 + i - span, -step))
             c = 2 * n - 2 * s + 1
@@ -179,7 +180,7 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
                                                   map((s - 1).__add__, starts), sums, repeat(0, k),
                                                   repeat(None, k), repeat(0, span))):
                     column += values
-                for i, block in enumerate(map(blocks.get, targets)):
+                for i, block in enumerate(opened):
                     trace[6][2 * i - span::step] = block[-2 * k:-k]
                     trace[6][2 * i + 1 - span::step] = block[-k:]
             # The pending sum minus 1 + ... + n is a quadratic in the layer
@@ -193,16 +194,17 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
         else:
             c, m, low, ends, reduced = _layer_step(n, a, b)
             pair_ends = iter(ends)
-            for block, p, q in zip(map(blocks.get, targets), pair_ends, pair_ends):
+            for block, p, q in zip(opened, pair_ends, pair_ends):
                 block.append(p)
                 block.append(q)
             if want_trace:
                 for column, values in zip(trace, ([n], [a], [b], [c], [m], [low], ends)):
                     column += values
             n, a, b = reduced
-        # the open targets are the last ones, in order
-        targets = targets[s - (b - a + 1):]
+        # the open blocks are the last ones, in order
+        opened = opened[s - (b - a + 1):]
 
     assert n == 0, "elements left over with no targets pending"
-    partition = Partition(inst.n, inst.run, {t: tuple(sorted(b)) for t, b in blocks.items()})
+    partition = Partition(inst.n, inst.run, {
+        t: tuple(sorted(block)) for t, block in zip(inst.run.values(), blocks)})
     return partition, trace

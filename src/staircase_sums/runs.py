@@ -253,18 +253,3 @@ def enumerate_runs(value: int) -> list[ConsecutiveRun]:
     """Every consecutive run summing to ``value``, ascending by first term,
     one per odd divisor of ``value`` (see :func:`_run_ends`)."""
     return [ConsecutiveRun(a, b) for a, b in _run_ends(value)]
-
-
-def check_length_bound(inst: Instance) -> bool:
-    """Whether n >= 2 * run.length().
-
-    Defined only for instances whose run starts above n; for those it holds
-    for every valid instance (a theorem), so this exists as a test oracle and
-    debug assertion rather than something callers need to branch on.
-    """
-    if inst.run.a <= inst.n:
-        raise ValueError(
-            f"length bound is defined only for runs starting above n "
-            f"(n={inst.n}, run={inst.run})"
-        )
-    return inst.n >= 2 * inst.run.length()

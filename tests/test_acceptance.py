@@ -14,7 +14,6 @@ from staircase_sums.construct import difference_pairs, solve
 from staircase_sums.runs import (
     ConsecutiveRun,
     Instance,
-    check_length_bound,
     enumerate_runs,
     triangular,
 )
@@ -113,7 +112,7 @@ def test_criterion_5_length_bound_on_sweep():
         for run in enumerate_runs(triangular(n)):
             if run.a > n:
                 checked += 1
-                if not check_length_bound(Instance(n, run)):
+                if n < 2 * run.length():
                     failures += 1
     elapsed = time.perf_counter() - started
     ok = failures == 0 and checked > 0

@@ -61,6 +61,12 @@ GOLDEN_TEXT_COMMANDS = {
 }
 
 
+def _argv_id(args) -> str:
+    """A case's test id, from its command line, so that adding or removing a case
+    renames no other."""
+    return "_".join(map(str, args))
+
+
 @pytest.fixture(scope="module")
 def envelope_schema():
     text = resources.files("staircase_sums").joinpath("envelope_schema.json").read_text()
@@ -199,6 +205,7 @@ def test_runs_of_large_64_bit_values(run_cli, value, odd_divisor_count):
         ["render", RENDER_MAX_WIDTH + 1],
         ["render", 14, 105, 105],
     ],
+    ids=_argv_id,
 )
 def test_user_errors_exit_2(run_cli, args):
     result = run_cli(*args)
@@ -291,6 +298,10 @@ def test_partition_that_fails_verify_exits_1(monkeypatch, capsys, envelope_schem
     jsonschema.validate(payload, envelope_schema)
     assert payload["result"]["verified"] is False
     assert err.startswith("internal defect: verify found")
+    # render draws nothing that verify rejects
+    for args in (["render", "14", "15", "20"], ["render", "14", "15", "20", "--json"]):
+        assert cli.main(args) == 1
+        assert capsys.readouterr() == ("", err)
 
 
 def test_an_overstated_census_under_list_exits_1(monkeypatch, capsys):
@@ -600,6 +611,7 @@ def test_widest_layer_is_answered_and_verified(run_cli):
         ["partition", 100000, 5000050000, 5000050000, "--trace"],
         ["count", 178, 7965, 7966, "--list", "--limit", LIST_MAX_LIMIT],
     ],
+    ids=_argv_id,
 )
 def test_long_replies_are_streamed(run_cli, args):
     # Each reply is far larger than this address space once held whole (30 MB
@@ -620,6 +632,7 @@ def test_long_replies_are_streamed(run_cli, args):
         ["count", 14, 15, 20, "--list", "--limit", 30],
         ["render", 5, 7, 8],
     ],
+    ids=_argv_id,
 )
 def test_json_replies_are_stdlib_indent_2(capsys, args):
     # timing_ms stays in, so a float is written too

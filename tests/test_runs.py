@@ -22,7 +22,6 @@ from staircase_sums.runs import (
     Instance,
     _is_prime,
     _run_ends,
-    check_length_bound,
     enumerate_runs,
     odd_divisors,
     triangular,
@@ -321,22 +320,3 @@ def test_instance_checks_run_through_the_class(monkeypatch):
         Instance(5, ConsecutiveRun(7, 9))
     assert checked == [14, 1, 5]
 
-
-@pytest.mark.parametrize(
-    "n,a,b",
-    [(14, 15, 20), (5, 7, 8), (2, 3, 3)],
-)
-def test_check_length_bound_examples(n, a, b):
-    assert check_length_bound(Instance(n, ConsecutiveRun(a, b))) is True
-
-
-def test_check_length_bound_requires_run_above_n():
-    with pytest.raises(ValueError):
-        check_length_bound(Instance(5, ConsecutiveRun(1, 5)))
-
-
-def test_check_length_bound_holds_on_sweep():
-    for n in range(1, 401):
-        for run in enumerate_runs(triangular(n)):
-            if run.a > n:
-                assert check_length_bound(Instance(n, run))
