@@ -632,7 +632,6 @@ def test_long_replies_are_streamed(run_cli, args):
         ["count", 14, 15, 20, "--list", "--limit", 30],
         ["render", 5, 7, 8],
     ],
-    ids=_argv_id,
 )
 def test_json_replies_are_stdlib_indent_2(capsys, args):
     # timing_ms stays in, so a float is written too
