@@ -6,20 +6,20 @@ Every subcommand accepts ``--json`` (emit a machine-readable envelope, see
 field so output bytes are reproducible).
 
 Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
-``input`` and ``result`` dicts and the exit code, and, only without
-``--json``, ``text_<command>(input_echo, result)`` gives the text lines from
-those same dicts, so text and JSON cannot disagree.  A trace is written
+``input`` and ``result`` dicts of a reply that passed every check, or raises,
+and, only without ``--json``, ``text_<command>(input_echo, result)`` gives
+the text lines from those same dicts, so text and JSON cannot disagree.  A trace is written
 straight from the int columns that ``construct.solve`` returns, sliced for
 each piece, and the runs of a ``runs`` reply from their int ends ``(a, b)``,
 with no run object.  Both are record lists that declare their shape
 (``_Trace``, ``_Runs``), so each group of same-shaped records (the layers of
 a stretch, all the runs) is formatted through one bytes ``%`` template.
 Once the handler and its checks are done, the reply goes to stdout piece by
-piece as it is formatted.
+piece as it is formatted; only :func:`main` sets the exit code.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
-failed), 2 user error, 130 interrupted (Ctrl-C), 141 the reader closed stdout
-before the reply ended.
+failed), 2 user error, 74 the reply could not be written (say, a full disk),
+130 interrupted (Ctrl-C), 141 the reader closed stdout before the reply ended.
 """
 
 from __future__ import annotations
@@ -257,10 +257,10 @@ class _Runs(list):
                         lambda lo, hi: chain.from_iterable(self[lo:hi]))
 
 
-def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict]:
     runs = _Runs(_run_ends(args.n))
     # one run per odd divisor
-    return {"n": args.n}, {"odd_divisor_count": len(runs), "runs": runs}, 0
+    return {"n": args.n}, {"odd_divisor_count": len(runs), "runs": runs}
 
 
 def text_runs(input_echo: dict, result: dict):
@@ -270,29 +270,28 @@ def text_runs(input_echo: dict, result: dict):
     yield from result["runs"].text(value)
 
 
-def cmd_partition(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def cmd_partition(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.n > PARTITION_MAX_N:
         raise ValueError(f"partition accepts n <= {PARTITION_MAX_N}, got n={args.n}")
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
     partition, trace = solve(inst, args.trace)
     report = oracle.verify(inst.n, inst.run, partition)
-    result: dict = {"blocks": partition, "verified": report.ok}
+    if not report.ok:  # cannot happen unless the solver is defective
+        raise AssertionError(f"verify found {report.violations}")
+    result: dict = {"blocks": partition, "verified": True}
     if args.trace:
         result["trace"] = _Trace(trace)
-    if not report.ok:
-        # cannot happen unless the solver is defective
-        print(f"internal defect: verify found {report.violations}", file=sys.stderr)
-    return {"n": args.n, "a": args.a, "b": args.b}, result, 0 if report.ok else 1
+    return {"n": args.n, "a": args.a, "b": args.b}, result
 
 
 def text_partition(input_echo: dict, result: dict):
     yield from result["trace"].text() if "trace" in result else ()
     yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]"
     yield from _blocks_text(result["blocks"])
-    yield "verified: ok" if result["verified"] else "verified: FAILED"
+    yield "verified: ok"
 
 
-def cmd_count(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def cmd_count(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.n > COUNT_MAX_N:
         raise ValueError(f"count accepts n <= {COUNT_MAX_N}, got n={args.n}")
     inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
@@ -303,7 +302,7 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, dict, int]:
     if args.list:
         result["partitions"] = partitions
         result["truncated"] = count > len(partitions)
-    return {"n": args.n, "a": args.a, "b": args.b}, result, 0
+    return {"n": args.n, "a": args.a, "b": args.b}, result
 
 
 def text_count(input_echo: dict, result: dict):
@@ -318,23 +317,19 @@ def text_count(input_echo: dict, result: dict):
             yield f"... {count - len(shown)} more not shown"
 
 
-def cmd_render(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def cmd_render(args: argparse.Namespace) -> tuple[dict, dict]:
     if (args.a is None) != (args.b is None):
         raise ValueError("render takes either just n, or n together with both a and b")
     widest = max(args.n, args.b or 0)
     if widest > RENDER_MAX_WIDTH:
         raise ValueError(f"render draws rows of at most {RENDER_MAX_WIDTH} cells, got {widest}")
-    input_echo: dict = {"n": args.n}
     result: dict = {"staircase": render.render_staircase(args.n).split("\n")}
-    if args.a is not None:
-        inst = Instance(args.n, ConsecutiveRun(args.a, args.b))
-        partition, _ = solve(inst)
-        report = oracle.verify(inst.n, inst.run, partition)
-        if not report.ok:  # cannot happen unless the solver is defective; draws nothing
-            raise AssertionError(f"verify found {report.violations}")
-        input_echo = {"n": args.n, "a": args.a, "b": args.b}
-        result["rebuilt"] = render.render_rebuilt(partition).split("\n")
-    return input_echo, result, 0
+    if args.a is None:
+        return {"n": args.n}, result
+    # the partition that partition's reply would hold, so it too is verified
+    input_echo, partitioned = cmd_partition(args)
+    result["rebuilt"] = render.render_rebuilt(partitioned["blocks"]).split("\n")
+    return input_echo, result
 
 
 def text_render(input_echo: dict, result: dict):
@@ -397,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("a", type=int, nargs="?", default=None)
     p.add_argument("b", type=int, nargs="?", default=None)
-    p.set_defaults(handler=cmd_render, text=text_render)
+    p.set_defaults(handler=cmd_render, text=text_render, trace=False)
 
     return parser
 
@@ -409,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     started = time.perf_counter()
     try:
-        input_echo, result, code = args.handler(args)
+        input_echo, result = args.handler(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -419,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     if sys.stdout is None:  # started with stdout closed: there is nowhere to write
-        return code
+        return 0
     try:
         if args.json:
             envelope: dict = {"schema_version": SCHEMA_VERSION, "command": args.command,
@@ -431,10 +426,13 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.writelines(line + "\n" for line in args.text(input_echo, result))
         sys.stdout.flush()
-    except BrokenPipeError:  # the rest, and the flush at exit, go to devnull
+    except OSError as exc:  # the rest, and the flush at exit, go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    return code
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: cannot write the reply: {exc.strerror}", file=sys.stderr)
+        return 74
+    return 0
 
 
 def run() -> int:

@@ -277,7 +277,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
-def test_partition_that_fails_verify_exits_1(monkeypatch, capsys, envelope_schema):
+def test_partition_that_fails_verify_exits_1(monkeypatch, capsys):
     solve = cli.solve
 
     def drops_an_element(inst, want_trace=False):
@@ -287,21 +287,24 @@ def test_partition_that_fails_verify_exits_1(monkeypatch, capsys, envelope_schem
         return Partition(partition.n, partition.run, blocks), traces
 
     monkeypatch.setattr(cli, "solve", drops_an_element)
-    args = ["partition", "14", "15", "20"]
-    assert cli.main(args) == 1
-    out, err = capsys.readouterr()
-    assert out.endswith("verified: FAILED\n")
-    assert err.startswith("internal defect: verify found")
-    assert cli.main([*args, "--json"]) == 1
-    out, err = capsys.readouterr()
-    payload = json.loads(out)
+    # neither command writes a reply that verify rejects, in either form
+    errors = set()
+    for command in ("partition", "render"):
+        for form in ([], ["--json"]):
+            assert cli.main([command, "14", "15", "20", *form]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("internal defect: verify found")
+            errors.add(err)
+    assert len(errors) == 1
+
+
+def test_schema_refuses_an_unverified_partition(envelope_schema):
+    payload = json.loads(_reply(["partition", "5", "7", "8", "--json", "--no-timing"]))
     jsonschema.validate(payload, envelope_schema)
-    assert payload["result"]["verified"] is False
-    assert err.startswith("internal defect: verify found")
-    # render draws nothing that verify rejects
-    for args in (["render", "14", "15", "20"], ["render", "14", "15", "20", "--json"]):
-        assert cli.main(args) == 1
-        assert capsys.readouterr() == ("", err)
+    payload["result"]["verified"] = False
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, envelope_schema)
 
 
 def test_an_overstated_census_under_list_exits_1(monkeypatch, capsys):
@@ -567,11 +570,12 @@ def test_a_peel_only_run_writes_an_empty_trace(capsys, n):
 
 @pytest.mark.parametrize("args,first_line", [
     (("partition", 10000, 50005000, 50005000, "--trace"), b"layer 1: n=10000 "),
+    (("partition", 10000, 50005000, 50005000, "--trace", "--json"), b"{"),
     (("runs", 6181604729214089175), b"6181604729214089175 has 46080 "),
     (("runs", 6181604729214089175, "--json"), b"{"),
     (("count", 35, 9, 36, "--list", "--limit", 10000), b"n = 35, run = [9..36]"),
     (("count", 35, 9, 36, "--list", "--limit", 10000, "--json"), b"{"),
-], ids=["trace", "runs", "runs-json", "list", "list-json"])
+], ids=["trace", "trace-json", "runs", "runs-json", "list", "list-json"])
 def test_closed_pipe_exits_141_without_traceback(spawn_cli, args, first_line):
     # each reply (0.8 to 12 MB) is well past the pipe's buffer, so a write of
     # the trace, runs or listing writer meets the closed pipe
@@ -591,6 +595,22 @@ def test_closed_stdout_is_not_an_error():
         stderr=subprocess.PIPE, text=True, timeout=120, preexec_fn=lambda: os.close(1),
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["runs", 15],
+    ["partition", 10000, 50005000, 50005000, "--trace", "--json"],
+], ids=_argv_id)
+def test_a_failed_write_exits_74_without_traceback(args):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "staircase_sums", *map(str, args)],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert result.returncode == 74
+    assert result.stderr == "error: cannot write the reply: No space left on device\n"
 
 
 def test_widest_layer_is_answered_and_verified(run_cli):
@@ -632,6 +652,7 @@ def test_long_replies_are_streamed(run_cli, args):
         ["count", 14, 15, 20, "--list", "--limit", 30],
         ["render", 5, 7, 8],
     ],
+    ids=_argv_id,
 )
 def test_json_replies_are_stdlib_indent_2(capsys, args):
     # timing_ms stays in, so a float is written too
