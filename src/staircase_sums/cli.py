@@ -31,8 +31,8 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, groupby, islice, repeat
-from operator import le, sub
+from itertools import chain, islice, repeat
+from operator import sub
 
 from . import oracle, render
 from .construct import Partition, solve
@@ -134,10 +134,10 @@ class _Trace(tuple):
 
     Consecutive layers of one shape (run length, window, and the kinds of
     their targets) are written through one template by :func:`_records`: a
-    stretch of plain layers is one group, and each other layer is a group of
-    its own.  Both writers lay out each piece's ints by strided slice
-    assignment from slices of the columns, so that their cost per layer
-    stays in C.
+    plain layer (a > c) starts a stretch of (n - s) // 2s plain layers, which
+    are one group, and each other layer is a group of its own.  Both writers
+    lay out each piece's ints by strided slice assignment from slices of the
+    columns, so that their cost per layer stays in C.
     """
 
     def __bool__(self) -> bool:  # with no layers, written as [] like an empty list
@@ -185,11 +185,10 @@ class _Trace(tuple):
                     flat[row + e + 2:row + width:3] = ends[end + 1:end + 2 * s:2]
             return flat
 
-        # run length, window, and whether a <= c fix the kinds of a layer's targets
-        shapes = zip(map(sub, bs, as_), ms, lows, map(le, as_, cs))
         lo = 0
-        for (s, m, low, exact), group in groupby(shapes):
-            s, hi = s + 1, lo + len(list(group))
+        while lo < len(ns):
+            s, m, low, exact = bs[lo] - as_[lo] + 1, ms[lo], lows[lo], as_[lo] <= cs[lo]
+            hi = lo + (1 if exact else (ns[lo] - s) // (2 * s))
             # the m targets below the pair sum c and the m above it are met by
             # difference pairs, c itself (if a <= c) by one pair, and the rest stay open
             counts = (m, exact, m, s - 2 * m - exact)
@@ -442,6 +441,3 @@ def run() -> int:
     except KeyboardInterrupt:  # main lets it through, so that an in-process caller stops
         return 130
 
-
-if __name__ == "__main__":
-    sys.exit(run())

@@ -23,17 +23,18 @@ the targets still open are always the last ones, in order, and :func:`solve`
 keeps their blocks as a tail of one list.
 
 Most layers are *plain*: m = c - a <= 0, so there is no difference-pair
-window and the i-th target just gets the pair (n-s-i, n-s+1+i).  A plain
-layer with a > c leaves every target open, keeps the target order and the
-run length, and maps the instance (n, [a..b]) to (n-2s, [a-c..b-c]).  Under
-the sum invariant, a > c holds exactly when n >= 3s, so such layers come in
-*stretches*: k = (n-s) // 2s consecutive layers, over which target i receives
-the two arithmetic progressions n-s-i, n-3s-i, ... and n-s+1+i, n-s+1+i-2s,
-... of k terms each.  :func:`solve` works on plain ints and takes one step
-per peel, per stretch, and per remaining layer (a windowed layer, or the
-plain layer with a = c that closes the first target); a layer's s pairs are
-one flat list of 2s ends, as in the trace.  A trace, seven columns
-(documented at :func:`solve`), is built only when asked for.
+window and the i-th target just gets the pair (n-s-i, n-s+1+i), which maps
+the instance (n, [a..b]) to (n-2s, [a-c..b-c]).  Under the sum invariant,
+a - c = (n-s)(n-3s+1) / 2s, so a layer is plain exactly when n >= 3s - 1, and
+plain layers come in *stretches*: k = (n-s+1) // 2s consecutive layers, over
+which target i receives the two arithmetic progressions n-s-i, n-3s-i, ...
+and n-s+1+i, n-s+1+i-2s, ... of k terms each.  Each leaves every target
+open, in order, but the last one, which *closes* the first target when it
+has a = c (n = 3s - 1).  :func:`solve` works on plain ints and takes one step
+per peel, per stretch and per windowed layer, so a worst run [T(n)..T(n)] is
+one stretch, then at most one peel; a layer's s pairs are one flat list of
+2s ends, as in the trace.  A trace, seven columns (documented at
+:func:`solve`), is built only when asked for.
 A stretch's entries are appended in bulk, not layer by layer: its n and pair
 sums are arithmetic progressions, its run starts the running sums of those
 pair sums, and its pair ends are laid out by strided slice assignment from
@@ -85,8 +86,8 @@ class Partition(_Value):
 _State = tuple[int, int, int]
 
 
-def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int | None, list[int], _State]:
-    """One layer of the state (n, a, b), which needs a > n: ``(c, m, low, ends, reduced)``.
+def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int, list[int], _State]:
+    """One windowed layer (2s <= n <= 3s - 2) of (n, a, b): ``(c, m, low, ends, reduced)``.
 
     Amount a + i gets ``ends[2i]`` and ``ends[2i + 1]``, as in the trace.  Amounts up
     to c + m are met exactly; the others stay open and need the rest from ``reduced``.
@@ -94,14 +95,15 @@ def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int | None, list[int]
     s = b - a + 1
     assert n >= 2 * s, f"length bound violated for valid instance (n={n}, s={s})"
     c = 2 * n - 2 * s + 1
-    m = max(0, c - a)
+    m = c - a
+    assert m >= 1, f"windowless layer outside a stretch (n={n}, s={s})"
     assert b - c >= m, "mirror partner targets missing above c"
     # The window [low..n], the top 2m+1 values of Q = [n-s+1..n], holds the
-    # difference pairs (none when m = 0): (x, x') of difference d meets amount
-    # c - d, at index m - d, as (c - x', x) and c + d, at m + d, as (c - x, x').
+    # difference pairs: (x, x') of difference d meets amount c - d, at index
+    # m - d, as (c - x', x) and c + d, at m + d, as (c - x, x').
     assert s >= 2 * m + 1, f"window exceeds Q (s={s}, m={m})"
     low = n - 2 * m
-    xs, xps = difference_pairs(m, low) if m else ([], [])
+    xs, xps = difference_pairs(m, low)
     assert len(xs) == len(xps) == m, "difference pairs missing from the window"
     # The open amounts, a + m then a + 2m + 1 to b, get (c - q, q) for the q no
     # pair took, in order: those below the window, then its spare one, which the
@@ -113,7 +115,7 @@ def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int | None, list[int]
 
     if n == 2 * s:
         assert b - c <= m, "residual targets but no elements left"
-    return c, m, low if m else None, ends, (n - 2 * s, max(m + 1, a - c), b - c)
+    return c, m, low, ends, (n - 2 * s, m + 1, b - c)
 
 
 def _check_pending(n: int, a: int, b: int, pending: int) -> None:
@@ -158,11 +160,11 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
             for block, t in zip(opened, range(a, n + 1)):
                 block.append(t)
             n, a = a - 1, n + 1
-        elif n >= 3 * s:
-            # A stretch of k plain layers that leave every target open: with
-            # the sum invariant, a > c = 2n-2s+1 iff (n-s)(n-3s+1) > 0, which
-            # for n >= 2s means n >= 3s, and each layer lowers n by 2s.
-            k = (n - s) // (2 * s)
+        elif n >= 3 * s - 1:
+            # A stretch of the k windowless layers: with the sum invariant,
+            # a >= c = 2n-2s+1 iff (n-s)(n-3s+1) >= 0, which for n >= 2s means
+            # n >= 3s - 1, and each layer lowers n by 2s.
+            k = (n - s + 1) // (2 * s)
             step = 2 * s
             span = step * k
             for i, block in enumerate(opened):
@@ -190,7 +192,8 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
             last = _stretch_start(a, c, s, k - 1)
             _check_pending(n - step * (k - 1), last, last + s - 1, s)
             n, a = n - span, _stretch_start(a, c, s, k)
-            b = a + s - 1
+            # a closing last layer (a = c) met the first target: the open run is [1..s-1]
+            a, b = max(a, 1), a + s - 1
         else:
             c, m, low, ends, reduced = _layer_step(n, a, b)
             pair_ends = iter(ends)

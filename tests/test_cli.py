@@ -541,6 +541,7 @@ def _trace_text(trace: list[dict]) -> list[str]:
 @example(300, 22)  # [15049..15051]: a stretch of 49 layers of width 3, 7 per piece
 @example(9, 4)  # [22..23]: a stretch of one layer of width 2 and a closing layer
 @example(12, 2)  # [25..27]: a stretch of one layer of width 3
+@example(11, 2)  # [21..23]: a plain layer of width 3, a peel, then one of width 1
 @example(98, 9)  # [261..278]: two layers of width 18, then two of width 2
 @example(80, 5)  # [209..223]: groups of 2, 2 and 1 layers
 @example(610, 12)  # [18631..18640]: 30 layers of width 10, 5 per piece, each laid out per layer

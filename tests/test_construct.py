@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from staircase_sums import construct
 from staircase_sums.construct import Partition, _layer_step, difference_pairs, solve
 from staircase_sums.oracle import verify
 from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
@@ -136,6 +137,12 @@ def trace_rows(trace) -> list[tuple]:
         rows.append((n, a, b, c, m, low, ends[start:stop]))
         start = stop
     return rows
+
+
+def windowed(n: int, a: int, b: int) -> bool:
+    """Whether the state (n, a, b) is a layer with a difference-pair window
+    (m = c - a >= 1), which under the sum invariant means 2s <= n <= 3s - 2."""
+    return a > n and n <= 3 * (b - a + 1) - 2
 
 
 def layer_states(max_n: int):
@@ -275,28 +282,45 @@ def test_layer_worked_example():
     assert reduced == (2, 3, 3)
 
 
-def test_layer_small_examples():
-    assert _layer_step(5, 7, 8) == (7, 0, None, [3, 4, 2, 5], (1, 1, 1))
-    # nothing is left: the reduced state has n = 0 and the empty run a = b + 1
-    assert _layer_step(2, 3, 3) == (3, 0, None, [1, 2], (0, 1, 0))
+def test_windowless_layers_are_solved_in_the_stretch():
+    # (5, 7, 8) and (2, 3, 3) are closing layers (a = c); (9, 22, 23) is a
+    # plain layer (a > c) that leaves every target open for the closing
+    # (5, 7, 8).  None has a window, so each is a stretch's, not _layer_step's.
+    expected = {
+        (5, 7, 8): [(5, 7, 8, 7, 0, None, [3, 4, 2, 5])],
+        (2, 3, 3): [(2, 3, 3, 3, 0, None, [1, 2])],
+        (9, 22, 23): [(9, 22, 23, 15, 0, None, [7, 8, 6, 9]),
+                      (5, 7, 8, 7, 0, None, [3, 4, 2, 5])],
+    }
+    for (n, a, b), rows in expected.items():
+        assert trace_rows(solve(Instance(n, ConsecutiveRun(a, b)), True)[1]) == rows
+        with pytest.raises(AssertionError, match="windowless"):
+            _layer_step(n, a, b)
 
 
-def test_layer_all_positive_deficits():
-    # a > c: no zero-deficit target, every pair stays open
-    c, m, low, ends, reduced = _layer_step(9, 22, 23)
-    assert (c, m, low) == (15, 0, None)
-    assert ends == [7, 8, 6, 9]
-    assert reduced == (5, 7, 8)
+def test_solve_calls_the_layer_step_only_on_windowed_layers(monkeypatch):
+    calls = []
+
+    def recording(n, a, b):
+        calls.append((n, a, b))
+        return _layer_step(n, a, b)
+
+    monkeypatch.setattr(construct, "_layer_step", recording)
+    for inst in _instances(300):
+        solve(inst)
+    assert calls
+    for n, a, b in calls:
+        assert 2 * n - 2 * (b - a + 1) + 1 - a >= 1, (n, a, b)  # m = c - a
 
 
 def test_layer_conservation_and_sums_sweep():
-    for inst in _instances(120, lambda i: i.run.a > i.n):
+    for inst in _instances(120, lambda i: windowed(i.n, i.run.a, i.run.b)):
         n, a, b = inst.n, inst.run.a, inst.run.b
         c, m, low, ends, reduced = _layer_step(n, a, b)
         s = b - a + 1
         assert len(ends) == 2 * s
         assert sorted(ends) == list(range(n - 2 * s + 1, n + 1))
-        assert (low is None) == (m == 0)
+        assert m == c - a >= 1 and low == n - 2 * m
         open_amounts = []
         for t, p, q in zip(range(a, b + 1), ends[0::2], ends[1::2]):
             if t - c <= m:
@@ -310,18 +334,16 @@ def test_layer_conservation_and_sums_sweep():
 
 def test_layer_step_matches_the_per_target_reference():
     wide = [(100000, 128269, 162643), (10000, 12888, 16312)]
-    for state in [*layer_states(300), *wide]:
+    for state in [*filter(lambda state: windowed(*state), layer_states(300)), *wide]:
         assert _layer_step(*state) == reference_layer_step(*state), state
 
 
 def test_layer_mirror_symmetry_sweep():
-    seen_mirrors = 0
-    for inst in _instances(200, lambda i: i.run.a > i.n):
+    instances = list(_instances(200, lambda i: windowed(i.n, i.run.a, i.run.b)))
+    assert instances
+    for inst in instances:
         a = inst.run.a
         c, m, low, ends, _ = _layer_step(inst.n, a, inst.run.b)
-        if m == 0:
-            continue
-        seen_mirrors += 1
         for d in range(1, m + 1):
             # amount t has the ends 2(t - a) and 2(t - a) + 1
             i, j = 2 * (c - d - a), 2 * (c + d - a)
@@ -330,7 +352,6 @@ def test_layer_mirror_symmetry_sweep():
             assert xp - x == d
             assert low <= x < xp <= low + 2 * m
             assert set(lo) | set(hi) == {x, xp, c - x, c - xp}
-    assert seen_mirrors > 0
 
 
 # ---------------------------------------------------------------- solve
