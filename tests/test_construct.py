@@ -282,20 +282,25 @@ def test_layer_worked_example():
     assert reduced == (2, 3, 3)
 
 
-def test_windowless_layers_are_solved_in_the_stretch():
-    # (5, 7, 8) and (2, 3, 3) are closing layers (a = c); (9, 22, 23) is a
-    # plain layer (a > c) that leaves every target open for the closing
-    # (5, 7, 8).  None has a window, so each is a stretch's, not _layer_step's.
-    expected = {
-        (5, 7, 8): [(5, 7, 8, 7, 0, None, [3, 4, 2, 5])],
-        (2, 3, 3): [(2, 3, 3, 3, 0, None, [1, 2])],
-        (9, 22, 23): [(9, 22, 23, 15, 0, None, [7, 8, 6, 9]),
-                      (5, 7, 8, 7, 0, None, [3, 4, 2, 5])],
-    }
-    for (n, a, b), rows in expected.items():
-        assert trace_rows(solve(Instance(n, ConsecutiveRun(a, b)), True)[1]) == rows
-        with pytest.raises(AssertionError, match="windowless"):
-            _layer_step(n, a, b)
+def _solved_in_the_stretch(n, a, b, rows):
+    # a windowless layer is a stretch's, not _layer_step's
+    assert trace_rows(solve(Instance(n, ConsecutiveRun(a, b)), True)[1]) == rows
+    with pytest.raises(AssertionError, match="windowless"):
+        _layer_step(n, a, b)
+
+
+def test_layer_small_examples():
+    # closing layers (a = c): the last layer of a stretch
+    _solved_in_the_stretch(5, 7, 8, [(5, 7, 8, 7, 0, None, [3, 4, 2, 5])])
+    # nothing is left: the reduced state has n = 0
+    _solved_in_the_stretch(2, 3, 3, [(2, 3, 3, 3, 0, None, [1, 2])])
+
+
+def test_layer_all_positive_deficits():
+    # a > c: no zero-deficit target, every pair stays open for the closing
+    # layer (5, 7, 8) that follows in the same stretch
+    _solved_in_the_stretch(9, 22, 23, [(9, 22, 23, 15, 0, None, [7, 8, 6, 9]),
+                                       (5, 7, 8, 7, 0, None, [3, 4, 2, 5])])
 
 
 def test_solve_calls_the_layer_step_only_on_windowed_layers(monkeypatch):
