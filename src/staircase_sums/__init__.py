@@ -8,7 +8,7 @@ verifies and exhaustively counts partitions with an independent oracle, and
 renders the corresponding tableaux.
 """
 
-from .construct import Partition, difference_pairs, solve
+from .construct import difference_pairs, solve
 from .oracle import (
     VerifyReport,
     count_runs_bruteforce,
@@ -19,6 +19,7 @@ from .render import render_rebuilt, render_staircase
 from .runs import (
     ConsecutiveRun,
     Instance,
+    Partition,
     enumerate_runs,
     odd_divisors,
     triangular,

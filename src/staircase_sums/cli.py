@@ -35,8 +35,8 @@ from itertools import chain, islice, repeat
 from operator import sub
 
 from . import oracle, render
-from .construct import Partition, solve
-from .runs import ConsecutiveRun, Instance, _run_ends
+from .construct import solve
+from .runs import ConsecutiveRun, Instance, Partition, _run_ends
 
 SCHEMA_VERSION = "1"
 DEFAULT_LIST_LIMIT = 20

@@ -46,7 +46,7 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from operator import sub
 
-from .runs import ConsecutiveRun, Instance, _Value
+from .runs import Instance, Partition
 
 
 def difference_pairs(m: int, low: int) -> tuple[list[int], list[int]]:
@@ -66,19 +66,6 @@ def difference_pairs(m: int, low: int) -> tuple[list[int], list[int]]:
     xs[1::2] = range(h + m, h + m - down, -1)
     xps[1::2] = range(h + m + 2, h + m + 2 + down)
     return xs, xps
-
-
-class Partition(_Value):
-    """Blocks keyed by target value; each block is an ascending element tuple.
-
-    Plain container: validity is checked by the independent verifier, not on
-    construction.
-    """
-
-    __slots__ = ("n", "run", "blocks")
-    n: int
-    run: ConsecutiveRun
-    blocks: dict[int, tuple[int, ...]]
 
 
 # A reduced state (n, a, b) with n = 0 has the empty run a = b + 1: nothing

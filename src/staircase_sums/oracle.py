@@ -1,8 +1,9 @@
 """Independent checking and exhaustive census of block partitions.
 
-Nothing here shares code with :mod:`staircase_sums.construct`: verification is
-plain set and sequence arithmetic and the census is a count over the multisets
-of deficits the targets still need, so either side can catch the other out.
+Nothing here shares code with :mod:`staircase_sums.construct`; this module imports
+only the value types of :mod:`staircase_sums.runs`.  Verification is plain set and
+sequence arithmetic and the census is a count over the multisets of deficits the
+targets still need, so either side can catch the other out.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import chain
 
-from .construct import Partition
-from .runs import ConsecutiveRun, Instance, _Value
+from .runs import ConsecutiveRun, Instance, Partition, _Value
 
 # Most deficit entries the census builds (the lengths of all the next states
 # of its moves, added up); a larger census is refused.  The README gives the
@@ -170,7 +170,8 @@ def _list_partitions(inst: Instance, cap: int) -> list[Partition]:
                 continue
             if found[e] == len(out):
                 dead.add(states[e])
-            assert e < n, f"census counted more partitions than the {len(out)} listed"
+            if e == n:  # raised, not asserted, so that python -O reports it too
+                raise AssertionError(f"census counted more partitions than the {len(out)} listed")
         # no target left to try here: go up, take back the element placed
         # there and try its next target
         e += 1

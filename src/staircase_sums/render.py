@@ -8,7 +8,7 @@ the two renderings of the same n use the same multiset of cells.
 
 from __future__ import annotations
 
-from .construct import Partition
+from .runs import Partition
 
 
 def _draw(rows: list[list[int]]) -> str:

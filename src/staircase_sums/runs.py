@@ -1,8 +1,8 @@
-"""Triangular numbers, consecutive runs, and their odd-divisor enumeration.
+"""The value types ConsecutiveRun, Instance and Partition, and the number theory of runs.
 
-All arithmetic is checked against the signed 64-bit range: results that would
-not fit raise :class:`OverflowError` instead of silently growing into big
-integers.
+They are all that the solver, the verifier and the census share.  All arithmetic
+is checked against the signed 64-bit range: results that would not fit raise
+:class:`OverflowError` instead of silently growing into big integers.
 """
 
 from __future__ import annotations
@@ -93,13 +93,10 @@ class ConsecutiveRun(_Value):
     a: int
     b: int
 
-    def __init__(self, a: int, b: int, /) -> None:
-        # written out rather than inherited: a run is built per odd divisor
-        if not 1 <= a <= b:
-            raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
-        _checked((a + b) * (b - a + 1) // 2, "run sum")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __post_init__(self) -> None:
+        if not 1 <= self.a <= self.b:
+            raise ValueError(f"need 1 <= a <= b, got a={self.a}, b={self.b}")
+        _checked(self.sum(), "run sum")
 
     def length(self) -> int:
         return self.b - self.a + 1
@@ -133,6 +130,19 @@ class Instance(_Value):
                 f"not a valid instance: 1+...+{self.n} = {triangular(self.n)} "
                 f"but {self.run} sums to {self.run.sum()}"
             )
+
+
+class Partition(_Value):
+    """Blocks keyed by target value; each block is an ascending element tuple.
+
+    Plain container: validity is checked by the independent verifier, not on
+    construction.
+    """
+
+    __slots__ = ("n", "run", "blocks")
+    n: int
+    run: ConsecutiveRun
+    blocks: dict[int, tuple[int, ...]]
 
 
 def _is_prime(n: int) -> bool:

@@ -27,8 +27,7 @@ from staircase_sums.cli import (
     PARTITION_MAX_N,
     RENDER_MAX_WIDTH,
 )
-from staircase_sums.construct import Partition
-from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
+from staircase_sums.runs import ConsecutiveRun, Instance, Partition, enumerate_runs, triangular
 from test_construct import reference_solve, trace_rows
 
 GOLDEN_COMMANDS = {
@@ -316,6 +315,45 @@ def test_an_overstated_census_under_list_exits_1(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "internal defect: census counted more partitions than the 3 listed\n"
+
+
+# Code run before cli.main in a child interpreter, each planting one internal
+# defect: a census that overstates its count under --list, and a solver that
+# drops an element
+PLANTED_DEFECTS = {
+    "overstated-listing": (["count", "5", "7", "8", "--list"], """
+from staircase_sums import oracle
+count_partitions = oracle._count_partitions
+oracle._count_partitions = lambda n, t: count_partitions(n, t) + 1
+"""),
+    "dropped-element": (["partition", "14", "15", "20"], """
+from staircase_sums import cli
+solve = cli.solve
+def drops_an_element(inst, want_trace=False):
+    partition, trace = solve(inst, want_trace)
+    blocks = dict(partition.blocks)
+    blocks[15] = blocks[15][1:]
+    return type(partition)(partition.n, partition.run, blocks), trace
+cli.solve = drops_an_element
+"""),
+}
+
+
+@pytest.mark.parametrize("defect", PLANTED_DEFECTS)
+def test_internal_defects_exit_1_under_python_O(defect):
+    # -O strips assert statements, so each defect check must raise by itself
+    argv, plant = PLANTED_DEFECTS[defect]
+    for form in ([], ["--json"]):
+        code = f"{plant}\nimport sys\nfrom staircase_sums import cli\nsys.exit(cli.main({argv + form!r}))"
+        replies = [subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                                  text=True, timeout=120)
+                   for flags in ([], ["-O"])]
+        plain, optimized = [(r.returncode, r.stdout, r.stderr) for r in replies]
+        assert optimized == plain, form
+        status, out, err = optimized
+        assert (status, out) == (1, ""), form
+        assert err.startswith("internal defect: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 def _interrupted(inst, want_trace=False):

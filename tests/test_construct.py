@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase_sums import construct
-from staircase_sums.construct import Partition, _layer_step, difference_pairs, solve
+from staircase_sums.construct import _layer_step, difference_pairs, solve
 from staircase_sums.oracle import verify
-from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
+from staircase_sums.runs import ConsecutiveRun, Instance, Partition, enumerate_runs, triangular
 
 WORKED_EXAMPLE_BLOCKS = {
     15: (3, 12),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase_sums import oracle
-from staircase_sums.construct import Partition, solve
+from staircase_sums.construct import solve
 from staircase_sums.oracle import (
     BRUTEFORCE_MAX,
     DUPLICATE_ELEMENT,
@@ -25,6 +25,7 @@ from staircase_sums.oracle import (
 from staircase_sums.runs import (
     ConsecutiveRun,
     Instance,
+    Partition,
     enumerate_runs,
     odd_divisors,
     triangular,

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from staircase_sums.construct import Partition, solve
+from staircase_sums.construct import solve
 from staircase_sums.render import render_rebuilt, render_staircase
-from staircase_sums.runs import ConsecutiveRun, Instance, enumerate_runs, triangular
+from staircase_sums.runs import ConsecutiveRun, Instance, Partition, enumerate_runs, triangular
 
 FIGURE_PARTITION = Partition(5, ConsecutiveRun(7, 8), {8: (3, 5), 7: (1, 2, 4)})
 

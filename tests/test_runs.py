@@ -2,24 +2,26 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import itertools
 import math
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from staircase_sums import VerifyReport, solve, verify
-from staircase_sums.construct import Partition
+from staircase_sums import VerifyReport, construct, solve, verify
 from staircase_sums.runs import (
     _TRIAL_BOUND,
     _TRIAL_PRIMES,
     INT64_MAX,
     ConsecutiveRun,
     Instance,
+    Partition,
     _is_prime,
     _run_ends,
     enumerate_runs,
@@ -304,19 +306,56 @@ def test_value_classes_keep_their_contract():
         ConsecutiveRun(1, 2) < ConsecutiveRun(1, 3)
 
 
-def test_instance_checks_run_through_the_class(monkeypatch):
-    # a tracer counts the checks by replacing Instance.__post_init__
+def _count_checks(monkeypatch, cls) -> list[tuple]:
+    """Replace ``cls.__post_init__``, as a tracer does, with one that records the fields it checks."""
     checked = []
-    check = Instance.__post_init__
+    check = cls.__post_init__
 
     def counted(self):
-        checked.append(self.n)
+        checked.append(self._fields())
         check(self)
 
-    monkeypatch.setattr(Instance, "__post_init__", counted)
-    Instance(14, ConsecutiveRun(15, 20))
-    Instance(1, ConsecutiveRun(1, 1))
-    with pytest.raises(ValueError):
-        Instance(5, ConsecutiveRun(7, 9))
-    assert checked == [14, 1, 5]
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return checked
+
+
+def test_instance_checks_run_through_the_class(monkeypatch):
+    # each value class with an invariant checks it in __post_init__, which
+    # _Value.__init__, the one constructor, calls
+    assert "__init__" not in ConsecutiveRun.__dict__
+    runs = ConsecutiveRun(15, 20), ConsecutiveRun(1, 1), ConsecutiveRun(7, 9)
+    for cls, valid, invalid in ((Instance, [(14, runs[0]), (1, runs[1])], (5, runs[2])),
+                                (ConsecutiveRun, [(15, 20), (1, 1)], (8, 7))):
+        checked = _count_checks(monkeypatch, cls)
+        for fields in valid:
+            cls(*fields)
+        with pytest.raises(ValueError):
+            cls(*invalid)
+        assert checked == [*valid, invalid], cls
+        monkeypatch.undo()
+
+
+def _package_imports(module: str) -> set[str]:
+    """The modules of the package that ``module``'s source imports, read with ast."""
+    tree = ast.parse(Path(construct.__file__).with_name(f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found |= {name.partition(".")[2] or "__init__" for name in names
+                      if name.partition(".")[0] == "staircase_sums"}
+    return found
+
+
+def test_solver_and_checkers_share_only_the_value_types():
+    # runs at the bottom; construct, oracle and render in the middle, each
+    # importing only runs, so that the verifier and the census share no code
+    # with the solver; cli on top
+    layers = {"runs": set(), "construct": {"runs"}, "oracle": {"runs"}, "render": {"runs"}}
+    assert {module: _package_imports(module) for module in layers} == layers
+    assert _package_imports("cli") <= {"construct", "oracle", "render", "runs"}
+    assert Partition.__module__ == "staircase_sums.runs"
+    assert construct.Partition is Partition
 
