@@ -136,13 +136,14 @@ class Partition(_Value):
     """Blocks keyed by target value; each block is an ascending element tuple.
 
     Plain container: validity is checked by the independent verifier, not on
-    construction.
+    construction.  Its blocks are a dict, so it cannot be hashed.
     """
 
     __slots__ = ("n", "run", "blocks")
     n: int
     run: ConsecutiveRun
     blocks: dict[int, tuple[int, ...]]
+    __hash__ = None
 
 
 def _is_prime(n: int) -> bool:
@@ -169,33 +170,29 @@ def _find_factor(n: int) -> int:
     """A proper factor of the odd composite n: Pollard rho with Brent's cycle search.
 
     Brent, "An improved Monte Carlo factorization algorithm", BIT 20 (1980).
-    Starts are fixed, so the factor found is deterministic; a constant c whose
-    walk collapses to n is replaced by the next one.
+    Starts are fixed, so the factor found is deterministic.  Each constant c
+    walks with one gcd per batch of 128 steps; if that ends at gcd n, a batch
+    overshot, and the walk runs once more with one gcd per step (each step's
+    own gcd, since every earlier one was 1), which stops where the factor
+    first appears.  If that gcd is n too, the walk collapsed: try c + 1.
     """
-    batch = 128
     for c in itertools.count(1):
-        y, q, g, r = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                saved = y
-                for _ in range(min(batch, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += batch
-            r *= 2
-        if g == n:
-            # the batched product overshot: replay the last batch one step at a time
-            g = 1
+        for batch in (128, 1):
+            y, q, g, r = 2, 1, 1, 1
             while g == 1:
-                saved = (saved * saved + c) % n
-                g = math.gcd(x - saved, n)
-        if g != n:
-            return g
+                x = y
+                for _ in range(r):
+                    y = (y * y + c) % n
+                k = 0
+                while k < r and g == 1:
+                    for _ in range(min(batch, r - k)):
+                        y = (y * y + c) % n
+                        q = q * (x - y) % n
+                    g = math.gcd(q, n)
+                    k += batch
+                r *= 2
+            if g != n:
+                return g
 
 
 def _odd_prime_factors(value: int) -> dict[int, int]:

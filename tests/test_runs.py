@@ -8,6 +8,7 @@ import itertools
 import math
 import pickle
 import random
+from collections.abc import Hashable
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from staircase_sums.runs import (
     ConsecutiveRun,
     Instance,
     Partition,
+    _find_factor,
     _is_prime,
     _run_ends,
     enumerate_runs,
@@ -158,6 +160,34 @@ def test_least_strong_pseudoprimes_are_composite(value):
     assert odd_divisors(value) == expected
 
 
+# composites whose c = 1 walk in _find_factor ends at gcd n: on the collapse
+# values the per-step walk ends at n too and c = 2 is tried; on the overshoot
+# values a batch of 128 steps overshot and the per-step walk finds a factor
+FIND_FACTOR_COLLAPSES = (1260913, 1331021, 1403191)  # 1031 * 1223, * 1291, * 1361
+FIND_FACTOR_OVERSHOOTS = (4338941, 22055881, 318246769, 1364455123, 2141033203)
+
+
+@pytest.mark.parametrize("value", FIND_FACTOR_COLLAPSES + FIND_FACTOR_OVERSHOOTS)
+def test_find_factor_redoes_an_overshooting_walk_one_step_at_a_time(monkeypatch, value):
+    gcds = []
+    gcd = math.gcd
+
+    def counted(a, b):
+        gcds.append(gcd(a, b))
+        return gcds[-1]
+
+    monkeypatch.setattr(math, "gcd", counted)
+    factor = _find_factor(value)
+    assert 1 < factor < value and value % factor == 0
+    # each walk's gcds are 1 until its last, so the other gcds are one per walk
+    ends = [g for g in gcds if g != 1]
+    if value in FIND_FACTOR_COLLAPSES:
+        assert ends[:2] == [value, value] and ends[-1] == factor
+    else:
+        assert ends == [value, factor]
+    assert odd_divisors(value) == _odd_divisors_by_trial(value)
+
+
 def _strong_probable_prime_to_twelve_bases(n: int) -> bool:
     d, r = n - 1, 0
     while not d & 1:
@@ -283,7 +313,11 @@ def test_value_classes_keep_their_contract():
     for value, twin in zip(values, again):
         assert value == twin and value is not twin
         assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
-        if not isinstance(value, Partition):  # its blocks are a dict
+        if isinstance(value, Partition):  # its blocks are a dict
+            assert not isinstance(value, Hashable)
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
             assert hash(value) == hash(twin)
         name = repr(value).split("(")[1].split("=")[0]  # its first field
         with pytest.raises(AttributeError):
