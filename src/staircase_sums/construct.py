@@ -68,13 +68,10 @@ def difference_pairs(m: int, low: int) -> tuple[list[int], list[int]]:
     return xs, xps
 
 
-# A reduced state (n, a, b) with n = 0 has the empty run a = b + 1: nothing
-# is left to assign.
-_State = tuple[int, int, int]
+def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int, list[int], tuple[int, int, int]]:
+    """One windowed layer (2s < n <= 3s - 2) of (n, a, b): ``(c, m, low, ends, reduced)``.
 
-
-def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int, list[int], _State]:
-    """One windowed layer (2s <= n <= 3s - 2) of (n, a, b): ``(c, m, low, ends, reduced)``.
+    Never n = 2s <= 3s - 2: the sum invariant would give a = (3s + 3)/2 > n only at s = 2, a = 9/2.
 
     Amount a + i gets ``ends[2i]`` and ``ends[2i + 1]``, as in the trace.  Amounts up
     to c + m are met exactly; the others stay open and need the rest from ``reduced``.
@@ -84,14 +81,12 @@ def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int, list[int], _Stat
     c = 2 * n - 2 * s + 1
     m = c - a
     assert m >= 1, f"windowless layer outside a stretch (n={n}, s={s})"
-    assert b - c >= m, "mirror partner targets missing above c"
     # The window [low..n], the top 2m+1 values of Q = [n-s+1..n], holds the
     # difference pairs: (x, x') of difference d meets amount c - d, at index
     # m - d, as (c - x', x) and c + d, at m + d, as (c - x, x').
     assert s >= 2 * m + 1, f"window exceeds Q (s={s}, m={m})"
     low = n - 2 * m
     xs, xps = difference_pairs(m, low)
-    assert len(xs) == len(xps) == m, "difference pairs missing from the window"
     # The open amounts, a + m then a + 2m + 1 to b, get (c - q, q) for the q no
     # pair took, in order: those below the window, then its spare one, which the
     # window's sum (2m+1)(n-m) gives.
@@ -99,16 +94,13 @@ def _layer_step(n: int, a: int, b: int) -> tuple[int, int, int, list[int], _Stat
     ends = [0] * (2 * s)
     ends[1::2] = [*xs[::-1], free[0], *xps, *free[1:]]
     ends[0::2] = map(c.__sub__, [*xps[::-1], free[0], *xs, *free[1:]])
-
-    if n == 2 * s:
-        assert b - c <= m, "residual targets but no elements left"
     return c, m, low, ends, (n - 2 * s, m + 1, b - c)
 
 
 def _check_pending(n: int, a: int, b: int, pending: int) -> None:
     # the pending amounts are the run [a..b], one per pending target, and
-    # their sum is 1 + ... + n
-    assert a >= 1 and b - a + 1 == pending and (a + b) * pending == n * (n + 1), (
+    # their sum is 1 + ... + n, so with none pending n = 0
+    assert n >= 0 and a >= 1 and b - a + 1 == pending and (a + b) * pending == n * (n + 1), (
         f"pending amounts out of sync with instance (n={n}, run=[{a}..{b}])"
     )
 
@@ -140,7 +132,6 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
 
     while opened:
         s = len(opened)
-        _check_pending(n, a, b, s)
         if a <= n:
             # a peel: amount t in [a..n] gets the singleton {t}, which leaves
             # {1..a-1} for the amounts [n+1..b]
@@ -173,9 +164,9 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
                     trace[6][2 * i - span::step] = block[-2 * k:-k]
                     trace[6][2 * i + 1 - span::step] = block[-k:]
             # The pending sum minus 1 + ... + n is a quadratic in the layer
-            # index j, zero at j = 0 (checked above); checking it at j = k-1
-            # here and at j = k on the next round makes it zero at every
-            # layer of the stretch.
+            # index j, zero at j = 0 (checked before this step); checking it
+            # at j = k-1 here and at j = k after this step makes it zero at
+            # every layer of the stretch.
             last = _stretch_start(a, c, s, k - 1)
             _check_pending(n - step * (k - 1), last, last + s - 1, s)
             n, a = n - span, _stretch_start(a, c, s, k)
@@ -193,8 +184,8 @@ def solve(inst: Instance, want_trace: bool = False) -> tuple[Partition, tuple[li
             n, a, b = reduced
         # the open blocks are the last ones, in order
         opened = opened[s - (b - a + 1):]
+        _check_pending(n, a, b, len(opened))
 
-    assert n == 0, "elements left over with no targets pending"
     partition = Partition(inst.n, inst.run, {
         t: tuple(sorted(block)) for t, block in zip(inst.run.values(), blocks)})
     return partition, trace

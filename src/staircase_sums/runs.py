@@ -2,7 +2,8 @@
 
 They are all that the solver, the verifier and the census share.  All arithmetic
 is checked against the signed 64-bit range: results that would not fit raise
-:class:`OverflowError` instead of silently growing into big integers.
+:class:`OverflowError` instead of silently growing into big integers, and a huge
+command-line integer is refused with one short message.
 """
 
 from __future__ import annotations

@@ -213,6 +213,18 @@ def test_user_errors_exit_2(run_cli, args):
     assert "Traceback" not in result.stderr
 
 
+def test_a_huge_integer_is_refused_in_one_line(run_cli):
+    # 4,000 digits parse under Python's 4,300-digit limit on int(str); the
+    # 64-bit check then refuses the value before any sum is printed or written
+    huge = "9" * 4000
+    for args in (["partition", 14, 15, huge], ["count", 5, 7, huge], ["runs", huge]):
+        result = run_cli(*args)
+        assert result.returncode == 2, args[0]
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert "exceeds the 64-bit range" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_limit_without_list_is_checked_and_lists_nothing(run_cli):
     result = run_cli("count", 5, 7, 8, "--limit", 0)
     assert result.returncode == 2

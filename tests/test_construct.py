@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staircase_sums import construct
-from staircase_sums.construct import _layer_step, difference_pairs, solve
+from staircase_sums.construct import _layer_step, _stretch_start, difference_pairs, solve
 from staircase_sums.oracle import verify
 from staircase_sums.runs import ConsecutiveRun, Instance, Partition, enumerate_runs, triangular
 
@@ -141,7 +141,7 @@ def trace_rows(trace) -> list[tuple]:
 
 def windowed(n: int, a: int, b: int) -> bool:
     """Whether the state (n, a, b) is a layer with a difference-pair window
-    (m = c - a >= 1), which under the sum invariant means 2s <= n <= 3s - 2."""
+    (m = c - a >= 1), which under the sum invariant means 2s < n <= 3s - 2."""
     return a > n and n <= 3 * (b - a + 1) - 2
 
 
@@ -315,7 +315,42 @@ def test_solve_calls_the_layer_step_only_on_windowed_layers(monkeypatch):
         solve(inst)
     assert calls
     for n, a, b in calls:
-        assert 2 * n - 2 * (b - a + 1) + 1 - a >= 1, (n, a, b)  # m = c - a
+        s = b - a + 1
+        m = 2 * n - 2 * s + 1 - a  # m = c - a
+        # a windowed layer never has n = 2s, and its window fits in Q
+        assert m >= 1 and 2 * s < n <= 3 * s - 2 and s >= 2 * m + 1, (n, a, b)
+
+
+def _reduced_run_one_high(n, a, b):
+    c, m, low, ends, (n, a, b) = _layer_step(n, a, b)
+    return c, m, low, ends, (n, a + 1, b + 1)
+
+
+def _one_high_after_a_layer(a, c, s, j):
+    return _stretch_start(a, c, s, j) + (j > 0)
+
+
+@pytest.mark.parametrize("name,defect,reached", [
+    ("_layer_step", _reduced_run_one_high, 55),
+    ("_stretch_start", _one_high_after_a_layer, 633),
+])
+def test_a_planted_solver_defect_is_refused_by_the_state_check(monkeypatch, name, defect, reached):
+    # every instance to n = 100 whose solve reaches the defect fails the check
+    # of the pending amounts; the others are solved as before
+    calls = []
+    monkeypatch.setattr(construct, name, lambda *args: calls.append(args) or defect(*args))
+    instances = list(_instances(100))
+    refused = 0
+    for inst in instances:
+        calls.clear()
+        try:
+            solve(inst)
+        except AssertionError as exc:
+            assert calls and "pending amounts out of sync" in str(exc), inst
+            refused += 1
+        else:
+            assert not calls, inst
+    assert (refused, len(instances)) == (reached, 733)
 
 
 def test_layer_conservation_and_sums_sweep():
