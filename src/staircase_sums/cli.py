@@ -15,11 +15,15 @@ with no run object.  Both are record lists that declare their shape
 (``_Trace``, ``_Runs``), so each group of same-shaped records (the layers of
 a stretch, all the runs) is formatted through one bytes ``%`` template.
 Once the handler and its checks are done, the reply goes to stdout piece by
-piece as it is formatted; only :func:`main` sets the exit code.
+piece as it is formatted; only :func:`main` sets the exit code.  A
+partition's blocks go out about sqrt(n) ints a piece, and a wide layer with
+more targets than the square root of its trace's ints is cut between
+targets, so that a wide block or layer is never held whole as text.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
-failed), 2 user error, 74 the reply could not be written (say, a full disk),
-130 interrupted (Ctrl-C), 141 the reader closed stdout before the reply ended.
+failed), 2 user error, 71 out of memory, 74 the reply could not be written
+(say, a full disk), 130 interrupted (Ctrl-C), 141 the reader closed stdout
+before the reply ended.
 """
 
 from __future__ import annotations
@@ -80,8 +84,10 @@ def to_json(value, write, pad: str = "\n") -> None:
     indentation of the line ``value`` starts on.  The stdlib drops to its
     pure-Python encoder whenever an indent is set; this writer makes one call
     per container.  A :class:`Partition` is written as its blocks object, the
-    ints of each block through :func:`_ints`, and a declared record
-    list, a :class:`_Trace` or :class:`_Runs`, through its ``json`` method.
+    ints of each block through :func:`_ints`, in pieces of about sqrt(n)
+    ints: small blocks go out together, and a block wider than that is cut
+    inside itself.  A declared record list, a :class:`_Trace` or
+    :class:`_Runs`, is written through its ``json`` method.
     Like the stdlib, it raises TypeError on any other type; it also raises it
     on a key that is not a str, and ValueError on NaN or infinity.
     """
@@ -101,9 +107,29 @@ def to_json(value, write, pad: str = "\n") -> None:
         text = "[]" if isinstance(value, (list, tuple)) else "{}"
     elif isinstance(value, Partition):
         i1, i2 = pad + "  ", pad + "    "
-        text = "{" + ",".join(
-            f'{i1}"{t}": ' + (f"[{i2}" + _ints(block, "," + i2) + i1 + "]" if block else "[]")
-            for t, block in sorted(value.blocks.items())) + pad + "}"
+        sep = "," + i2
+        size = math.isqrt(sum(map(len, value.blocks.values()))) or 1
+        # size ints, each followed by sep: every piece of a cut block but its last
+        chunk = (b"%d" + sep.encode()) * size
+        piece, count, head = [], 0, "{"
+        for t in sorted(value.blocks):
+            block = value.blocks[t]
+            if count >= size:
+                write("".join(piece))
+                piece, count = [], 0
+            if len(block) <= size:
+                piece.append(f'{head}{i1}"{t}": [{i2}{_ints(block, sep)}{i1}]' if block
+                             else f'{head}{i1}"{t}": []')
+            else:
+                piece.append(f'{head}{i1}"{t}": [{i2}')
+                for start in range(0, len(block) - size, size):
+                    piece.append((chunk % tuple(block[start:start + size])).decode())
+                    write("".join(piece))
+                    piece = []
+                piece.append(f"{_ints(block[start + size:], sep)}{i1}]")
+            count += len(block)
+            head = ","
+        text = "".join(piece) + pad + "}"
     else:
         inner = pad + "  "
         head = ("{" if isinstance(value, dict) else "[") + inner
@@ -135,21 +161,26 @@ class _Trace(tuple):
     Consecutive layers of one shape (run length, window, and the kinds of
     their targets) are written through one template by :func:`_records`: a
     plain layer (a > c) starts a stretch of (n - s) // 2s plain layers, which
-    are one group, and each other layer is a group of its own.  Both writers
-    lay out each piece's ints by strided slice assignment from slices of the
-    columns, so that their cost per layer stays in C.
+    are one group, and each other layer is a group of its own.  A layer that
+    is wider than its group is long, and has more targets than the square
+    root of the ints the trace is written with, is written by itself
+    instead, cut between targets into pieces of that many; as text its
+    deficits stay on its state line, and only its pairs' lines are cut.  Both
+    writers lay out each piece's ints by strided slice assignment from slices
+    of the columns, so that their cost per layer stays in C.
     """
 
     def __bool__(self) -> bool:  # with no layers, written as [] like an empty list
         return bool(self[0])
 
-    def _write(self, layer, pair: str, sep: str, numbered: bool):
-        """The layers in pieces, with ``sep`` between them: ``layer(s, m, low,
-        pairs)`` gives the template of a layer of that shape from ``pairs``,
-        its targets' ``pair`` templates, in order, each with its target's
-        kind for ``%s``.  The layer template takes the layer's number (if
-        ``numbered``), n, a, b, c, the ends of P and Q, the deficits, then
-        target, low and high of each pair."""
+    def _write(self, layer, pair: str, joins: tuple[str, str], sep: str, numbered: bool):
+        """The layers in pieces, with ``sep`` between them: ``layer(s, m, low)``
+        gives the text of a layer of that shape before its deficits, between
+        its deficits and its pairs, and after its pairs; ``joins`` the text
+        between two deficits and between two pairs, and ``pair`` each pair's
+        template, with its target's kind for ``%s``.  The layer's fields are
+        its number (if ``numbered``), n, a, b, c, the ends of P and Q, the
+        deficits, then target, low and high of each pair."""
         ns, as_, bs, cs, ms, lows, ends = self
         kind_pairs = [pair % kind for kind in ("mirror-low", "exact", "mirror-high", "open")]
         pair_ends = iter(ends)  # pieces come in order, each taking 2s ends per layer
@@ -185,6 +216,28 @@ class _Trace(tuple):
                     flat[row + e + 2:row + width:3] = ends[end + 1:end + 2 * s:2]
             return flat
 
+        # targets a piece of a layer cut between them: the square root of the
+        # ints the layers are written with, their heads and four a target
+        step = math.isqrt((8 + numbered) * len(ns) + 2 * len(ends))
+
+        def shapes(head, sections):
+            # a layer's template in pieces, each with its number of fields:
+            # each section's units, of `width` fields, with `join` between them,
+            # then the text after the section, cut every `step` units where
+            # `join` starts with `sep`, which the caller puts back
+            text, fields = head, head.count("%d")
+            for units, width, join, after in sections:
+                k = step if join.startswith(sep) else len(units)
+                for i in range(0, len(units), k):
+                    if i:
+                        yield text, fields
+                        text, fields = join[len(sep):], 0
+                    chunk = units[i:i + k]
+                    text += join.join(chunk)
+                    fields += width * len(chunk)
+                text += after
+            yield text, fields
+
         lo = 0
         while lo < len(ns):
             s, m, low, exact = bs[lo] - as_[lo] + 1, ms[lo], lows[lo], as_[lo] <= cs[lo]
@@ -192,8 +245,17 @@ class _Trace(tuple):
             # the m targets below the pair sum c and the m above it are met by
             # difference pairs, c itself (if a <= c) by one pair, and the rest stay open
             counts = (m, exact, m, s - 2 * m - exact)
-            shape = layer(s, m, low, list(chain.from_iterable(map(repeat, kind_pairs, counts))))
-            yield from _records(shape, sep, lo, hi, ints)
+            pairs = list(chain.from_iterable(map(repeat, kind_pairs, counts)))
+            head, mid, tail = layer(s, m, low)
+            if s <= max(hi - lo, step):
+                shape = head + joins[0].join(["%d"] * s) + mid + joins[1].join(pairs) + tail
+                yield from _records(shape, sep, lo, hi, ints)
+            else:
+                sections = ((["%d"] * s, 1, joins[0], mid), (pairs, 3, joins[1], tail))
+                for r in range(lo, hi):
+                    row = iter(ints(r, r + 1))
+                    for shape, fields in shapes(head, sections):
+                        yield (shape.encode() % tuple(islice(row, fields))).decode()
             lo = hi
 
     def json(self, pad: str):
@@ -206,27 +268,23 @@ class _Trace(tuple):
         after_s = (f',{i1}"c": %d,{i1}"p_range": [{i2}%d,{i2}%d{i1}],'
                    f'{i1}"q_range": [{i2}%d,{i2}%d{i1}],{i1}"deficits": [{i2}')
 
-        def layer(s, m, low, pairs):
-            return (
-                f'{before_s}{s}{after_s}{sep.join(["%d"] * s)}{i1}],{i1}"m": {m},'
-                f'{i1}"l": {"null" if low is None else low},'
-                f'{i1}"assignments": [{i2}{sep.join(pairs)}{i1}]{pad}}}'
-            )
+        def layer(s, m, low):
+            return (f"{before_s}{s}{after_s}",
+                    f'{i1}],{i1}"m": {m},{i1}"l": {"null" if low is None else low},'
+                    f'{i1}"assignments": [{i2}',
+                    f"{i1}]{pad}}}")
 
-        return self._write(layer, pair, "," + pad, False)
+        return self._write(layer, pair, (sep, sep), "," + pad, False)
 
     def text(self):
         """The text of the layers in pieces: each layer's state line, then one
         line per pair."""
 
-        def layer(s, m, low, pairs):
-            return (
-                f"layer %d: n=%d run=[%d..%d] s={s} c=%d P=[%d..%d] Q=[%d..%d] "
-                "deficits=[" + ",".join(["%d"] * s) + f"] m={m}"
-                f"{'' if low is None else f' l={low}'}"
-            ) + "".join(pairs)
+        def layer(s, m, low):
+            return (f"layer %d: n=%d run=[%d..%d] s={s} c=%d P=[%d..%d] Q=[%d..%d] deficits=[",
+                    f"] m={m}{'' if low is None else f' l={low}'}\n", "")
 
-        return self._write(layer, "\n  target %%d <- (%%d, %%d)  [%s]", "\n", True)
+        return self._write(layer, "  target %%d <- (%%d, %%d)  [%s]", (",", "\n"), "\n", True)
 
 
 class _Runs(list):
@@ -410,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 71
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     if sys.stdout is None:  # started with stdout closed: there is nowhere to write
@@ -425,10 +486,13 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.writelines(line + "\n" for line in args.text(input_echo, result))
         sys.stdout.flush()
-    except OSError as exc:  # the rest, and the flush at exit, go to devnull
+    except (OSError, MemoryError) as exc:  # the rest, and the flush at exit, go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return 141
+        if isinstance(exc, MemoryError):
+            print("error: out of memory", file=sys.stderr)
+            return 71
         print(f"error: cannot write the reply: {exc.strerror}", file=sys.stderr)
         return 74
     return 0

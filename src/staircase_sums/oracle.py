@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, islice
+from operator import countOf, sub
 
 from .runs import ConsecutiveRun, Instance, Partition, _Value
 
@@ -60,9 +61,12 @@ def verify(n: int, run: ConsecutiveRun, partition: Partition) -> VerifyReport:
         if total != t:
             violations.append((WRONG_SUM, t, total))
 
-    # each block is an ascending run, and timsort merges runs
+    # each block is an ascending run, and timsort merges runs; the sorted
+    # elements are 1..n exactly when there are n of them, the first is 1 and
+    # each of the other n - 1 is one more than the one before
     elements = sorted(chain.from_iterable(partition.blocks.values()))
-    if elements != list(range(1, n + 1)):
+    if (len(elements) != n or elements[:1] != [1]
+            or countOf(map(sub, islice(elements, 1, None), elements), 1) != n - 1):
         seen = set(elements)
         repeated = {e for e, f in zip(elements, elements[1:]) if e == f}
         violations += [(DUPLICATE_ELEMENT, e) for e in sorted(repeated)]

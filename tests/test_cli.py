@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -394,6 +396,55 @@ def test_interrupt_stops_an_in_process_caller(monkeypatch):
     assert result.failed == 0
 
 
+def _out_of_memory(inst, want_trace=False):
+    raise MemoryError
+
+
+def test_running_out_of_memory_exits_71_without_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve", _out_of_memory)
+    for form in ([], ["--json"]):
+        assert cli.main(["partition", "14", "15", "20", *form]) == 71
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+class _Stdout:
+    """A stdout that keeps every piece written to it.  A write past its first
+    ``room`` characters raises MemoryError, as one does once the address space
+    is used up; ``main`` then points ``fileno`` at devnull."""
+
+    def __init__(self, room: float = math.inf, fileno: int = -1):
+        self.pieces: list[str] = []
+        self.room, self._fileno = room, fileno
+
+    def write(self, text: str) -> int:
+        if len(text) > self.room:
+            raise MemoryError
+        self.room -= len(text)
+        self.pieces.append(text)
+        return len(text)
+
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self._fileno
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_running_out_of_memory_while_writing_exits_71(capsys, tmp_path, form):
+    # the reply is far longer than the room, so the write fails partway
+    with open(tmp_path / "stdout", "w") as file:
+        stdout = _Stdout(10_000, file.fileno())
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["partition", "300", "45150", "45150", "--trace", *form]) == 71
+    assert 0 < len("".join(stdout.pieces)) <= 10_000
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 _TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€\U0001f600') | st.characters())
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | _TEXT
@@ -426,20 +477,29 @@ def test_json_writer_refuses_what_json_cannot_hold():
         _written([float("nan")])
 
 
-# Partitions of several blocks, empty or of ints of 1 to 12 digits; no check runs on them
+# Partitions of several blocks, empty or of ints of 1 to 12 digits, some wider
+# than the sqrt of their total, so that the writer cuts them; no check runs on them
 _PARTITIONS = st.dictionaries(
     st.integers(1, 10**12 - 1),
-    st.lists(st.integers(-(10**12) + 1, 10**12 - 1), min_size=0, max_size=8).map(tuple),
+    st.lists(st.integers(-(10**12) + 1, 10**12 - 1), min_size=0, max_size=8).map(tuple)
+    | st.lists(st.integers(1, 10**6), min_size=9, max_size=300).map(tuple),
     min_size=1,
     max_size=6,
 ).map(lambda blocks: Partition(1, ConsecutiveRun(1, 1), blocks))
+_ELEMENT_LINE = re.compile(r"^ +-?[0-9]+,?$", re.MULTILINE)
 
 
 @settings(max_examples=200)
 @given(_PARTITIONS)
+@example(Partition(1, ConsecutiveRun(1, 1), {3: (1, 2), 5: tuple(range(1, 101)), 9: (), 11: (4,)}))
 def test_partition_writers_keep_their_bytes(partition):
     blocks = sorted(partition.blocks.items())
-    assert _written(partition) == json.dumps({str(t): list(b) for t, b in blocks}, indent=2)
+    pieces: list[str] = []
+    cli.to_json(partition, pieces.append)
+    assert "".join(pieces) == json.dumps({str(t): list(b) for t, b in blocks}, indent=2)
+    # a piece holds under twice the sqrt of the element count, however wide a block is
+    size = math.isqrt(sum(len(block) for _, block in blocks)) or 1
+    assert max(len(_ELEMENT_LINE.findall(piece)) for piece in pieces) < 2 * size
     assert cli._blocks_text(partition) == [
         f"U_{t} = {{{', '.join(map(str, block))}}}" for t, block in blocks
     ]
@@ -690,6 +750,31 @@ def test_long_replies_are_streamed(run_cli, args):
     result = run_cli(*args, "--json", "--no-timing", address_space=96 * 2**20)
     assert result.returncode == 0, result.stderr[-500:]
     assert result.stdout.endswith("\n}\n")
+
+
+# (argv, largest piece allowed, sha256 of the reply)
+_BOUNDED_PIECES = [
+    # the worst run's one block of 10^5 ints, 1.5 MB whole
+    (["partition", 100000, 5000050000, 5000050000, "--json", "--no-timing"], 2**13,
+     "41f5ae0d1846e28aba430ffb627aa0855470250db038639ad8dd84f5935c623b"),
+    # the widest layer, 6.1 MB whole, and 34,375 small blocks, 2.4 MB together
+    (["partition", 100000, 128269, 162643, "--trace", "--json", "--no-timing"], 2**17,
+     "3101c8d93bbeaf93fd45fbec67c4c32052066caa86f0031a8176fa4781f09e5c"),
+    # as text the layer was 1.7 MB; its state line, which holds all 34,375
+    # deficits, is now the largest piece
+    (["partition", 100000, 128269, 162643, "--trace"], 2**18,
+     "5af859b389f9b3324fdb9fd273520746d530539111d0b99d54dc2bbf05b34c3f"),
+]
+
+
+@pytest.mark.parametrize("args,bound,digest", _BOUNDED_PIECES,
+                         ids=[_argv_id(args) for args, _, _ in _BOUNDED_PIECES])
+def test_wide_blocks_and_layers_are_written_in_bounded_pieces(args, bound, digest):
+    stdout = _Stdout()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(list(map(str, args))) == 0
+    assert max(map(len, stdout.pieces)) <= bound
+    assert hashlib.sha256("".join(stdout.pieces).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,31 @@ def test_verify_reports_foreign_elements():
     assert report.violations == ((FOREIGN_ELEMENT, 0),)
 
 
+def test_verify_reports_a_duplicate_and_a_gap_that_keep_the_count_and_the_ends():
+    # four elements from 1 to 4 that sum to T(4), yet 1 and 4 come twice and 2 and 3 never
+    run = ConsecutiveRun(10, 10)
+    p = Partition(4, run, {10: (1, 1, 4, 4)})
+    report = verify(4, run, p)
+    assert report.violations == ((DUPLICATE_ELEMENT, 1), (DUPLICATE_ELEMENT, 4),
+                                 (MISSING_ELEMENT, 2), (MISSING_ELEMENT, 3))
+    assert report == _verify_per_element(4, run, p)
+
+
+def test_verify_builds_no_list_of_1_to_n():
+    # the sorted copy of 10^5 elements is 0.8 MB; a list of 1..n would add
+    # 3.6 MB more, of new ints
+    n = 10**5
+    inst = Instance(n, ConsecutiveRun(triangular(n), triangular(n)))
+    partition, _ = solve(inst)
+    tracemalloc.start()
+    try:
+        assert verify(n, inst.run, partition).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+
+
 def test_verify_ok_iff_no_violations():
     good = _partition(2, 3, 3, {3: {1, 2}})
     assert verify(2, good.run, good) == verify(2, good.run, good)
