@@ -5,20 +5,12 @@ Every subcommand accepts ``--json`` (emit a machine-readable envelope, see
 ``envelope_schema.json``) and ``--no-timing`` (omit the envelope's timing
 field so output bytes are reproducible).
 
-Each subcommand builds one reply: ``cmd_<command>`` returns the envelope's
-``input`` and ``result`` dicts of a reply that passed every check, or raises,
-and, only without ``--json``, ``text_<command>(input_echo, result)`` gives
-the text lines from those same dicts, so text and JSON cannot disagree.  A trace is written
-straight from the int columns that ``construct.solve`` returns, sliced for
-each piece, and the runs of a ``runs`` reply from their int ends ``(a, b)``,
-with no run object.  Both are record lists that declare their shape
-(``_Trace``, ``_Runs``), so each group of same-shaped records (the layers of
-a stretch, all the runs) is formatted through one bytes ``%`` template.
-Once the handler and its checks are done, the reply goes to stdout piece by
-piece as it is formatted; only :func:`main` sets the exit code.  A
-partition's blocks go out about sqrt(n) ints a piece, and a wide layer with
-more targets than the square root of its trace's ints is cut between
-targets, so that a wide block or layer is never held whole as text.
+``cmd_<command>`` returns the ``input`` and ``result`` dicts of a reply that
+passed every check, or raises; ``text_<command>(input_echo, result)`` yields
+the text reply from those same dicts, so text and JSON cannot disagree.  Only
+:func:`main` sets the exit code; it writes the reply as it is formatted, each
+record list (blocks, listing, trace, runs) straight from its ints in the
+pieces of one cutter, :func:`_pieces`, as JSON and as text alike.
 
 Exit codes: 0 success, 1 internal defect (a checked theorem or invariant
 failed), 2 user error, 71 out of memory, 74 the reply could not be written
@@ -35,7 +27,7 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import sub
 
 from . import oracle, render
@@ -50,30 +42,9 @@ PARTITION_MAX_N = 10**5
 COUNT_MAX_N = 250_000
 RENDER_MAX_WIDTH = 100  # longest staircase or rebuilt row, in cells
 LIST_MAX_LIMIT = 10_000  # largest --limit that count --list accepts
-
-
-def _ints(values, sep: str) -> str:
-    """The ints of ``values`` in decimal with ``sep`` between them, through one
-    bytes ``%`` template (see :func:`_records`)."""
-    values, sep = tuple(values), sep.encode()
-    return ((b"%d" + sep) * len(values) % values)[:-len(sep)].decode()
-
-
-def _records(template: str, sep: str, lo: int, hi: int, ints):
-    """The records ``lo`` to ``hi - 1``, with ``sep`` between them, each formatted
-    through the one ``%`` template; ``ints(start, stop)``, called for each piece
-    in order, gives the ints of the records ``start`` to ``stop - 1``.
-
-    Yields about sqrt(hi - lo) records a piece, so that a long batch is never
-    held whole as text; the caller puts ``sep`` between the pieces.  The
-    template is applied as bytes, whose ``%`` copies the text between fields
-    with ``memcpy``, where str ``%`` scans it one character at a time.
-    """
-    template, sep = template.encode(), sep.encode()
-    size = math.isqrt(hi - lo)
-    for start in range(lo, hi, size):
-        stop = min(start + size, hi)
-        yield (sep.join([template] * (stop - start)) % tuple(ints(start, stop))).decode()
+# Fewest ints a piece is cut at (see _pieces), so that a small reply is one
+# piece: each piece costs a few microseconds to format and write.
+PIECE_MIN_INTS = 512
 
 
 def to_json(value, write, pad: str = "\n") -> None:
@@ -83,11 +54,9 @@ def to_json(value, write, pad: str = "\n") -> None:
     ``write`` takes the pieces in order; ``pad`` is a newline plus the
     indentation of the line ``value`` starts on.  The stdlib drops to its
     pure-Python encoder whenever an indent is set; this writer makes one call
-    per container.  A :class:`Partition` is written as its blocks object, the
-    ints of each block through :func:`_ints`, in pieces of about sqrt(n)
-    ints: small blocks go out together, and a block wider than that is cut
-    inside itself.  A declared record list, a :class:`_Trace` or
-    :class:`_Runs`, is written through its ``json`` method.
+    per container, and writes a :class:`Partition` and each declared record
+    list (:class:`_Trace`, :class:`_Runs`, :class:`_Partitions`) in the pieces
+    of :func:`_pieces`.
     Like the stdlib, it raises TypeError on any other type; it also raises it
     on a key that is not a str, and ValueError on NaN or infinity.
     """
@@ -105,213 +74,249 @@ def to_json(value, write, pad: str = "\n") -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     elif not (value.blocks if isinstance(value, Partition) else value):
         text = "[]" if isinstance(value, (list, tuple)) else "{}"
-    elif isinstance(value, Partition):
-        i1, i2 = pad + "  ", pad + "    "
-        sep = "," + i2
-        size = math.isqrt(sum(map(len, value.blocks.values()))) or 1
-        # size ints, each followed by sep: every piece of a cut block but its last
-        chunk = (b"%d" + sep.encode()) * size
-        piece, count, head = [], 0, "{"
-        for t in sorted(value.blocks):
-            block = value.blocks[t]
-            if count >= size:
-                write("".join(piece))
-                piece, count = [], 0
-            if len(block) <= size:
-                piece.append(f'{head}{i1}"{t}": [{i2}{_ints(block, sep)}{i1}]' if block
-                             else f'{head}{i1}"{t}": []')
-            else:
-                piece.append(f'{head}{i1}"{t}": [{i2}')
-                for start in range(0, len(block) - size, size):
-                    piece.append((chunk % tuple(block[start:start + size])).decode())
-                    write("".join(piece))
-                    piece = []
-                piece.append(f"{_ints(block[start + size:], sep)}{i1}]")
-            count += len(block)
-            head = ","
-        text = "".join(piece) + pad + "}"
+    elif isinstance(value, (Partition, _Trace, _Runs, _Partitions)):
+        pieces = _Partitions([value]).write(["{"], ",", pad + "}", pad + "  ") \
+            if isinstance(value, Partition) else value.json(pad)
+        for piece in pieces:
+            write(piece)
+        return
     else:
         inner = pad + "  "
         head = ("{" if isinstance(value, dict) else "[") + inner
-        if isinstance(value, (_Trace, _Runs)):
-            for piece in value.json(inner):
-                write(head + piece)
-                head = "," + inner
-        else:
-            # the escaper itself raises TypeError on a key that is not a str
-            items = ((encode_basestring_ascii(key) + ": ", item) for key, item in value.items()) \
-                if isinstance(value, dict) else (("", item) for item in value)
-            for key, item in items:
-                write(head + key)
-                to_json(item, write, inner)
-                head = "," + inner
+        # the escaper itself raises TypeError on a key that is not a str
+        items = ((encode_basestring_ascii(key) + ": ", item) for key, item in value.items()) \
+            if isinstance(value, dict) else (("", item) for item in value)
+        for key, item in items:
+            write(head + key)
+            to_json(item, write, inner)
+            head = "," + inner
         text = pad + ("}" if isinstance(value, dict) else "]")
     write(text)
 
 
-def _blocks_text(partition: Partition) -> list[str]:
-    return [f"U_{t} = {{{_ints(block, ', ')}}}"
-            for t, block in sorted(partition.blocks.items())]
+def _pieces(units, ints, total: int):
+    """The text of ``units``, which hold ``total`` fields, in pieces.
+
+    Each unit is a run ``(template, fields, count)``: ``count`` copies of a
+    ``%`` template with ``fields`` fields ``%d`` and no ``%%``, filled in order
+    from the int lists of the iterator ``ints``.  The piece rule: a piece is
+    cut only between two copies, and holds max(PIECE_MIN_INTS, isqrt(total))
+    fields at most, unless it is one wider copy.  Each piece is formatted once,
+    as bytes, whose ``%`` copies the text between fields with ``memcpy``."""
+    size = max(PIECE_MIN_INTS, math.isqrt(total))
+
+    def cut():  # the templates of each piece, and their number of fields
+        piece, room = [], size
+        for template, fields, count in units:
+            template = template.encode()
+            while count:
+                k = min(count, room // fields) if fields else count
+                if k < 1 and room < size:
+                    yield piece, size - room
+                    piece, room = [], size
+                    continue
+                k = max(k, 1)
+                piece.append(template * k)
+                room, count = room - k * fields, count - k
+        yield piece, size - room
+
+    chunk, pos = [], 0  # the int list being read, and its first int not yet used
+    for piece, need in cut():
+        args, pos = chunk[pos:pos + need], pos + need
+        while len(args) < need:  # the rest from the next lists
+            chunk = next(ints)
+            pos = need - len(args)
+            args += chunk[:pos]
+        yield (b"".join(piece) % tuple(args)).decode()
+
+
+def _record_units(parts: list, count: int, lead: str, sep: str) -> list:
+    """The units of ``count`` records of the runs ``parts``, ``lead`` before the
+    first and ``sep`` before each other: one template for all if a record fits
+    in any piece, else each record in its parts, the first of them one copy."""
+    template, fields = "", 0
+    for t, f, c in parts:  # the template is built only while the record fits
+        fields += f * c
+        template += t * c if fields <= PIECE_MIN_INTS else ""
+    if fields <= PIECE_MIN_INTS:
+        return [(lead + template, fields, 1), (sep + template, fields, count - 1)]
+    (first, f, _), *rest = parts
+    return [(lead + first, f, 1), *rest, *[(sep + first, f, 1), *rest] * (count - 1)]
 
 
 class _Trace(tuple):
     """The solver's trace columns ``(n, a, b, c, m, low, ends)``, which
     :func:`to_json` writes as a list of layers and ``text_partition`` as text.
-
-    Consecutive layers of one shape (run length, window, and the kinds of
-    their targets) are written through one template by :func:`_records`: a
-    plain layer (a > c) starts a stretch of (n - s) // 2s plain layers, which
-    are one group, and each other layer is a group of its own.  A layer that
-    is wider than its group is long, and has more targets than the square
-    root of the ints the trace is written with, is written by itself
-    instead, cut between targets into pieces of that many; as text its
-    deficits stay on its state line, and only its pairs' lines are cut.  Both
-    writers lay out each piece's ints by strided slice assignment from slices
-    of the columns, so that their cost per layer stays in C.
-    """
+    Layers of one shape (run length, window, kinds of targets) are one run of
+    records: a plain layer (a > c) starts a stretch of (n - s) // 2s of them,
+    and each other layer is a run of its own."""
 
     def __bool__(self) -> bool:  # with no layers, written as [] like an empty list
         return bool(self[0])
 
-    def _write(self, layer, pair: str, joins: tuple[str, str], sep: str, numbered: bool):
-        """The layers in pieces, with ``sep`` between them: ``layer(s, m, low)``
-        gives the text of a layer of that shape before its deficits, between
-        its deficits and its pairs, and after its pairs; ``joins`` the text
-        between two deficits and between two pairs, and ``pair`` each pair's
-        template, with its target's kind for ``%s``.  The layer's fields are
-        its number (if ``numbered``), n, a, b, c, the ends of P and Q, the
-        deficits, then target, low and high of each pair."""
+    def _write(self, layer, pair: str, joins: tuple, frame: tuple, numbered: bool):
+        """The layers in pieces, ``frame`` the text before the first layer,
+        between two and after the last: ``layer(s, m, low)`` gives a layer's
+        text before its deficits, between them and its pairs, and after its
+        pairs; ``joins`` the text between two deficits and two pairs, and
+        ``pair`` each pair's template, with its kind for ``%s``.  The fields
+        are the layer's number (if ``numbered``), n, a, b, c, the ends of P and
+        Q, the deficits, then target, low and high of each pair."""
         ns, as_, bs, cs, ms, lows, ends = self
-        kind_pairs = [pair % kind for kind in ("mirror-low", "exact", "mirror-high", "open")]
-        pair_ends = iter(ends)  # pieces come in order, each taking 2s ends per layer
+        head_ints = 8 + numbered
+        pairs = [pair % kind for kind in ("mirror-low", "exact", "mirror-high", "open")]
+        pair_ends = iter(ends)  # ints come in order, each layer taking its 2s ends
 
-        def ints(lo, hi):
-            # the ints of layers lo to hi - 1, which share one run length s, laid
-            # out by slice assignment from column slices, along the shorter axis
-            t, s = hi - lo, bs[lo] - as_[lo] + 1
-            n, a, c = ns[lo:hi], as_[lo:hi], cs[lo:hi]
-            # each layer's pairs sum to c, so with Q = [q..n] it has P = [c - n..c - q]
-            q = list(map((1 - s).__add__, n))
-            heads = [range(lo + 1, hi + 1)] * numbered + [
-                n, a, bs[lo:hi], c, map(sub, c, n), map(sub, c, q), q, n]
-            d, e = len(heads), len(heads) + s  # where the deficits and the triples start
-            width = e + 3 * s
-            flat = [0] * (t * width)
-            for j, column in enumerate(heads):
-                flat[j::width] = column
-            ends = list(islice(pair_ends, 2 * s * t))
-            if s <= t:  # target i: deficit c - a - i, target a + i, pair ends[2i], ends[2i + 1]
-                deficits = list(map(sub, c, a))
-                for i in range(s):
-                    flat[d + i::width] = map((-i).__add__, deficits)
-                    flat[e + 3 * i::width] = map(i.__add__, a)
-                    flat[e + 3 * i + 1::width] = ends[2 * i::2 * s]
-                    flat[e + 3 * i + 2::width] = ends[2 * i + 1::2 * s]
-            else:  # layer r: deficits c - a down to c - b, targets a to b, pairs from ends[2sr]
-                for r, first, deficit in zip(range(t), a, map(sub, c, a)):
-                    row, end = r * width, 2 * s * r
-                    flat[row + d:row + e] = range(deficit, deficit - s, -1)
-                    flat[row + e:row + width:3] = range(first, first + s)
-                    flat[row + e + 1:row + width:3] = ends[end:end + 2 * s:2]
-                    flat[row + e + 2:row + width:3] = ends[end + 1:end + 2 * s:2]
-            return flat
-
-        # targets a piece of a layer cut between them: the square root of the
-        # ints the layers are written with, their heads and four a target
-        step = math.isqrt((8 + numbered) * len(ns) + 2 * len(ends))
-
-        def shapes(head, sections):
-            # a layer's template in pieces, each with its number of fields:
-            # each section's units, of `width` fields, with `join` between them,
-            # then the text after the section, cut every `step` units where
-            # `join` starts with `sep`, which the caller puts back
-            text, fields = head, head.count("%d")
-            for units, width, join, after in sections:
-                k = step if join.startswith(sep) else len(units)
-                for i in range(0, len(units), k):
-                    if i:
-                        yield text, fields
-                        text, fields = join[len(sep):], 0
-                    chunk = units[i:i + k]
-                    text += join.join(chunk)
-                    fields += width * len(chunk)
-                text += after
-            yield text, fields
-
-        lo = 0
+        groups, lo = [], 0
         while lo < len(ns):
-            s, m, low, exact = bs[lo] - as_[lo] + 1, ms[lo], lows[lo], as_[lo] <= cs[lo]
-            hi = lo + (1 if exact else (ns[lo] - s) // (2 * s))
-            # the m targets below the pair sum c and the m above it are met by
-            # difference pairs, c itself (if a <= c) by one pair, and the rest stay open
-            counts = (m, exact, m, s - 2 * m - exact)
-            pairs = list(chain.from_iterable(map(repeat, kind_pairs, counts)))
-            head, mid, tail = layer(s, m, low)
-            if s <= max(hi - lo, step):
-                shape = head + joins[0].join(["%d"] * s) + mid + joins[1].join(pairs) + tail
-                yield from _records(shape, sep, lo, hi, ints)
-            else:
-                sections = ((["%d"] * s, 1, joins[0], mid), (pairs, 3, joins[1], tail))
-                for r in range(lo, hi):
-                    row = iter(ints(r, r + 1))
-                    for shape, fields in shapes(head, sections):
-                        yield (shape.encode() % tuple(islice(row, fields))).decode()
+            s = bs[lo] - as_[lo] + 1
+            hi = lo + (1 if as_[lo] <= cs[lo] else (ns[lo] - s) // (2 * s))
+            groups.append((lo, hi, s))
             lo = hi
 
+        def ints():  # each run of k layers, about sqrt(k) layers at a time, laid out by
+            # slice assignment from column slices, along the shorter axis
+            for start, stop, s in groups:
+                step = math.isqrt(stop - start)
+                for lo in range(start, stop, step):
+                    hi = min(lo + step, stop)
+                    t = hi - lo
+                    n, a, c = ns[lo:hi], as_[lo:hi], cs[lo:hi]
+                    # each layer's pairs sum to c, so with Q = [q..n] it has P = [c - n..c - q]
+                    q = list(map((1 - s).__add__, n))
+                    heads = [range(lo + 1, hi + 1)] * numbered + [
+                        n, a, bs[lo:hi], c, map(sub, c, n), map(sub, c, q), q, n]
+                    d, e = len(heads), len(heads) + s  # where the deficits and the triples start
+                    width = e + 3 * s
+                    flat = [0] * (t * width)
+                    for j, column in enumerate(heads):
+                        flat[j::width] = column
+                    ends = list(islice(pair_ends, 2 * s * t))
+                    # per target i: deficit c - a - i, target a + i, pair ends[2i], ends[2i + 1]
+                    if s <= t:
+                        deficits = list(map(sub, c, a))
+                        for i in range(s):
+                            flat[d + i::width] = map((-i).__add__, deficits)
+                            flat[e + 3 * i::width] = map(i.__add__, a)
+                            flat[e + 3 * i + 1::width] = ends[2 * i::2 * s]
+                            flat[e + 3 * i + 2::width] = ends[2 * i + 1::2 * s]
+                    else:  # per layer r: deficits c - a to c - b, targets a to b, ends from 2sr
+                        for r, first, deficit in zip(range(t), a, map(sub, c, a)):
+                            row, end = r * width, 2 * s * r
+                            flat[row + d:row + e] = range(deficit, deficit - s, -1)
+                            flat[row + e:row + width:3] = range(first, first + s)
+                            flat[row + e + 1:row + width:3] = ends[end:end + 2 * s:2]
+                            flat[row + e + 2:row + width:3] = ends[end + 1:end + 2 * s:2]
+                    yield flat
+
+        def units():
+            lead, sep, close = frame
+            for lo, hi, s in groups:
+                m, exact = ms[lo], as_[lo] <= cs[lo]
+                # the m targets below the pair sum c and the m above it are met by
+                # difference pairs, c itself (if a <= c) by one pair, and the rest stay open
+                kinds = [(kind, k) for kind, k in zip(pairs, (m, exact, m, s - 2 * m - exact)) if k]
+                head, mid, tail = layer(s, m, lows[lo])
+                parts = [(head + "%d", head_ints + 1, 1), (joins[0] + "%d", 1, s - 1),
+                         (mid + kinds[0][0], 3, 1), (joins[1] + kinds[0][0], 3, kinds[0][1] - 1),
+                         *((joins[1] + kind, 3, k) for kind, k in kinds[1:]), (tail, 0, 1)]
+                yield from _record_units(parts, hi - lo, lead, sep)
+                lead = sep
+            yield close, 0, 1
+
+        return _pieces(units(), ints(), head_ints * len(ns) + 2 * len(ends))
+
     def json(self, pad: str):
-        """The JSON objects of the layers in pieces, each layer starting on a
-        line indented by ``pad``."""
-        i1, i2, i3, i4 = (pad + "  " * k for k in range(1, 5))
-        sep = "," + i2
-        pair = f'{{{i3}"target": %%d,{i3}"pair": [{i4}%%d,{i4}%%d{i3}],{i3}"kind": "%s"{i2}}}'
-        before_s = f'{{{i1}"n": %d,{i1}"run": {{{i2}"a": %d,{i2}"b": %d{i1}}},{i1}"s": '
-        after_s = (f',{i1}"c": %d,{i1}"p_range": [{i2}%d,{i2}%d{i1}],'
-                   f'{i1}"q_range": [{i2}%d,{i2}%d{i1}],{i1}"deficits": [{i2}')
+        """The JSON list of the layers, its brackets indented by ``pad``."""
+        i1, i2, i3, i4, i5 = (pad + "  " * k for k in range(1, 6))
+        pair = f'{{{i4}"target": %%d,{i4}"pair": [{i5}%%d,{i5}%%d{i4}],{i4}"kind": "%s"{i3}}}'
+        before_s = f'{{{i2}"n": %d,{i2}"run": {{{i3}"a": %d,{i3}"b": %d{i2}}},{i2}"s": '
+        after_s = (f',{i2}"c": %d,{i2}"p_range": [{i3}%d,{i3}%d{i2}],'
+                   f'{i2}"q_range": [{i3}%d,{i3}%d{i2}],{i2}"deficits": [{i3}')
 
         def layer(s, m, low):
             return (f"{before_s}{s}{after_s}",
-                    f'{i1}],{i1}"m": {m},{i1}"l": {"null" if low is None else low},'
-                    f'{i1}"assignments": [{i2}',
-                    f"{i1}]{pad}}}")
+                    f'{i2}],{i2}"m": {m},{i2}"l": {"null" if low is None else low},'
+                    f'{i2}"assignments": [{i3}',
+                    f"{i2}]{i1}}}")
 
-        return self._write(layer, pair, (sep, sep), "," + pad, False)
+        return self._write(layer, pair, ("," + i3, "," + i3), ("[" + i1, "," + i1, pad + "]"),
+                           False)
 
     def text(self):
-        """The text of the layers in pieces: each layer's state line, then one
-        line per pair."""
+        """The layers as text: each one's state line, then a line per pair."""
 
         def layer(s, m, low):
             return (f"layer %d: n=%d run=[%d..%d] s={s} c=%d P=[%d..%d] Q=[%d..%d] deficits=[",
                     f"] m={m}{'' if low is None else f' l={low}'}\n", "")
 
-        return self._write(layer, "  target %%d <- (%%d, %%d)  [%s]", (",", "\n"), "\n", True)
+        return self._write(layer, "  target %%d <- (%%d, %%d)  [%s]", (",", "\n"), ("", "\n", "\n"),
+                           True)
 
 
 class _Runs(list):
     """The int ends ``(a, b)`` of a ``runs`` reply's runs, ascending by ``a``, which
     :func:`to_json` writes as JSON objects and ``text_runs`` as lines, every run
-    through one template by :func:`_records` from each piece's flattened ends."""
+    through one template."""
 
     def json(self, pad: str):
-        """The runs' JSON objects in pieces, each starting on a line indented
-        by ``pad``."""
-        i1 = pad + "  "
-
-        def ints(lo, hi):
-            # a, b and the length b - a + 1 of runs lo to hi - 1, by slice assignment
-            ends = list(chain.from_iterable(self[lo:hi]))
-            a, b = ends[::2], ends[1::2]
-            flat = [0] * (3 * (hi - lo))
-            flat[::3], flat[1::3], flat[2::3] = a, b, map(sub, b, map((-1).__add__, a))
-            return flat
-
-        template = f'{{{i1}"a": %d,{i1}"b": %d,{i1}"length": %d{pad}}}'
-        return _records(template, "," + pad, 0, len(self), ints)
+        """The JSON list of the runs, its brackets indented by ``pad``."""
+        i1, i2 = pad + "  ", pad + "    "
+        record = f'{{{i2}"a": %d,{i2}"b": %d,{i2}"length": %d{i1}}}'
+        flat = [x for a, b in self for x in (a, b, b - a + 1)]
+        units = [("[" + i1 + record, 3, 1), ("," + i1 + record, 3, len(self) - 1)]
+        return _pieces([*units, (pad + "]", 0, 1)], iter([flat]), len(flat))
 
     def text(self, value: int):
-        """The runs' lines ``  value = [a..b]`` in pieces."""
-        return _records(f"  {value} = [%d..%d]", "\n", 0, len(self),
-                        lambda lo, hi: chain.from_iterable(self[lo:hi]))
+        """The runs' lines ``  value = [a..b]``, each after a newline."""
+        flat = list(chain.from_iterable(self))
+        return _pieces([(f"\n  {value} = [%d..%d]", 2, len(self)), ("\n", 0, 1)], iter([flat]),
+                       len(flat))
+
+
+class _Partitions(list):
+    """Partitions whose blocks go through one cutter call: a ``count --list``
+    listing, or the blocks of one partition."""
+
+    def write(self, leads, sep: str, close: str, pad: str | None = None):
+        """Each partition's blocks by ascending target after its lead from
+        ``leads``, ``sep`` between blocks, ``close`` after the last: JSON keys
+        and lists on lines starting with ``pad``, or ``U_t = {e, ...}`` with
+        no ``pad``.  Consecutive blocks of one width share a template."""
+        head, item, tail = ("U_%d = {", ", ", "}") if pad is None else (
+            f'{pad}"%d": [{pad}  ', f",{pad}  ", f"{pad}]")
+
+        def units():
+            for partition, lead in zip(self, leads):
+                blocks = partition.blocks
+                for width, run in groupby(map(len, map(blocks.__getitem__, sorted(blocks)))):
+                    # an empty block is its head and tail with no space between
+                    parts = [(head + "%d", 2, 1), (item + "%d", 1, width - 1), (tail, 0, 1)] \
+                        if width else [(head.rstrip() + tail.strip(), 1, 1)]
+                    yield from _record_units(parts, len(list(run)), lead, sep)
+                    lead = sep
+            yield close, 0, 1
+
+        def ints(partition):  # each block's target, then its elements
+            flat = []
+            for t in sorted(partition.blocks):
+                flat.append(t)
+                flat += partition.blocks[t]
+            return flat
+
+        total = sum(len(p.blocks) + sum(map(len, p.blocks.values())) for p in self)
+        return _pieces(units(), map(ints, self), total)
+
+    def json(self, pad: str):
+        """The JSON list of the partitions, its brackets indented by ``pad``."""
+        i1 = pad + "  "
+        return self.write(chain([f"[{i1}{{"], repeat(f"{i1}}},{i1}{{")), ",", f"{i1}}}{pad}]",
+                          i1 + "  ")
+
+    def text(self):
+        """The lines ``#i: U_t = {...}; ...`` of the partitions."""
+        return self.write(chain(["#1: "], map("\n#{}: ".format, range(2, len(self) + 1))),
+                          "; ", "\n")
 
 
 def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -342,10 +347,10 @@ def cmd_partition(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def text_partition(input_echo: dict, result: dict):
-    yield from result["trace"].text() if "trace" in result else ()
-    yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]"
-    yield from _blocks_text(result["blocks"])
-    yield "verified: ok"
+    yield from result["trace"].text() if result.get("trace") else ()
+    yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]\n"
+    yield from _Partitions([result["blocks"]]).write([""], "\n", "\n")
+    yield "verified: ok\n"
 
 
 def cmd_count(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -357,21 +362,17 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, dict]:
     count, partitions = oracle.enumerate_all(inst, args.limit if args.list else 0)
     result: dict = {"count": count}
     if args.list:
-        result["partitions"] = partitions
+        result["partitions"] = _Partitions(partitions)
         result["truncated"] = count > len(partitions)
     return {"n": args.n, "a": args.a, "b": args.b}, result
 
 
 def text_count(input_echo: dict, result: dict):
-    count = result["count"]
-    yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]"
-    yield f"count = {count}"
-    if "partitions" in result:
-        shown = result["partitions"]
-        for idx, partition in enumerate(shown, start=1):
-            yield f"#{idx}: " + "; ".join(_blocks_text(partition))
-        if result["truncated"]:
-            yield f"... {count - len(shown)} more not shown"
+    count, shown = result["count"], result.get("partitions")
+    yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]\ncount = {count}\n"
+    yield from shown.text() if shown else ()
+    if result.get("truncated"):
+        yield f"... {count - len(shown)} more not shown\n"
 
 
 def cmd_render(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -390,9 +391,9 @@ def cmd_render(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def text_render(input_echo: dict, result: dict):
-    yield from result["staircase"]
+    yield "\n".join(result["staircase"]) + "\n"
     if "rebuilt" in result:
-        yield from ["", *result["rebuilt"]]
+        yield "\n" + "\n".join(result["rebuilt"]) + "\n"
 
 
 @functools.cache
@@ -484,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             to_json(envelope, sys.stdout.write)
             sys.stdout.write("\n")
         else:
-            sys.stdout.writelines(line + "\n" for line in args.text(input_echo, result))
+            sys.stdout.writelines(args.text(input_echo, result))
         sys.stdout.flush()
     except (OSError, MemoryError) as exc:  # the rest, and the flush at exit, go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

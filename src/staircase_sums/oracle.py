@@ -50,23 +50,19 @@ def verify(n: int, run: ConsecutiveRun, partition: Partition) -> VerifyReport:
     * ``(FOREIGN_ELEMENT, e)`` -- e outside {1..n} appears in some block
     """
     violations: list[tuple] = []
-    expected_targets = set(run.values())
-    actual_targets = set(partition.blocks)
-    if actual_targets != expected_targets:
-        diff = tuple(sorted(actual_targets ^ expected_targets))
+    targets = sorted(partition.blocks)
+    if not _is_range(targets, run.a, run.length()):
+        diff = tuple(sorted(set(targets) ^ set(run.values())))
         violations.append((WRONG_TARGET_SET,) + diff)
 
-    for t in sorted(partition.blocks):
+    for t in targets:
         total = sum(partition.blocks[t])
         if total != t:
             violations.append((WRONG_SUM, t, total))
 
-    # each block is an ascending run, and timsort merges runs; the sorted
-    # elements are 1..n exactly when there are n of them, the first is 1 and
-    # each of the other n - 1 is one more than the one before
+    # each block is an ascending run, and timsort merges runs
     elements = sorted(chain.from_iterable(partition.blocks.values()))
-    if (len(elements) != n or elements[:1] != [1]
-            or countOf(map(sub, islice(elements, 1, None), elements), 1) != n - 1):
+    if not _is_range(elements, 1, n):
         seen = set(elements)
         repeated = {e for e, f in zip(elements, elements[1:]) if e == f}
         violations += [(DUPLICATE_ELEMENT, e) for e in sorted(repeated)]
@@ -74,6 +70,14 @@ def verify(n: int, run: ConsecutiveRun, partition: Partition) -> VerifyReport:
         violations += [(FOREIGN_ELEMENT, e) for e in sorted(seen) if not 1 <= e <= n]
 
     return VerifyReport(not violations, tuple(violations))
+
+
+def _is_range(items: list, first: int, count: int) -> bool:
+    """Whether the sorted ``items`` are ``first`` and the ``count - 1`` ints
+    after it: there are ``count`` of them, the first is ``first`` and each
+    other is one more than the one before, so no set or list of them is built."""
+    return (len(items) == count and items[:1] == [first]
+            and countOf(map(sub, islice(items, 1, None), items), 1) == count - 1)
 
 
 def _moves(state: tuple[int, ...], e: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:

@@ -165,6 +165,20 @@ def test_verify_builds_no_list_of_1_to_n():
     assert peak < 1_500_000
 
 
+def test_verify_builds_no_target_sets():
+    # the widest layer's run has 34,375 targets; a set of them and a set of the
+    # keys would add 5.3 MB to the 1.5 MB of sorted keys and elements
+    n, run = 10**5, ConsecutiveRun(128269, 162643)
+    partition, _ = solve(Instance(n, run))
+    tracemalloc.start()
+    try:
+        assert verify(n, run, partition).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_verify_ok_iff_no_violations():
     good = _partition(2, 3, 3, {3: {1, 2}})
     assert verify(2, good.run, good) == verify(2, good.run, good)
