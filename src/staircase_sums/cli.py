@@ -99,7 +99,7 @@ def _pieces(units, ints, total: int):
 
     Each unit is a run ``(template, fields, count)``: ``count`` copies of a
     ``%`` template with ``fields`` fields ``%d`` and no ``%%``, filled in order
-    from the int lists of the iterator ``ints``.  The piece rule: a piece is
+    from the int sequences of the iterator ``ints``.  The piece rule: a piece is
     cut only between two copies, and holds max(PIECE_MIN_INTS, isqrt(total))
     fields at most, unless it is one wider copy.  Each piece is formatted once,
     as bytes, whose ``%`` copies the text between fields with ``memcpy``."""
@@ -120,13 +120,13 @@ def _pieces(units, ints, total: int):
                 room, count = room - k * fields, count - k
         yield piece, size - room
 
-    chunk, pos = [], 0  # the int list being read, and its first int not yet used
+    chunk, pos = (), 0  # the int sequence being read, and its first int not yet used
     for piece, need in cut():
         args, pos = chunk[pos:pos + need], pos + need
-        while len(args) < need:  # the rest from the next lists
+        while len(args) < need:  # the rest from the next sequences
             chunk = next(ints)
             pos = need - len(args)
-            args += chunk[:pos]
+            args = (*args, *chunk[:pos])
         yield (b"".join(piece) % tuple(args)).decode()
 
 
@@ -301,11 +301,17 @@ class _Partitions(list):
             flat = []
             for t in sorted(partition.blocks):
                 flat.append(t)
-                flat += partition.blocks[t]
-            return flat
+                block = partition.blocks[t]
+                if len(flat) + len(block) < PIECE_MIN_INTS:
+                    flat += block
+                else:  # a piece's worth: the block is read in place, not copied
+                    yield flat
+                    yield block
+                    flat = []
+            yield flat
 
         total = sum(len(p.blocks) + sum(map(len, p.blocks.values())) for p in self)
-        return _pieces(units(), map(ints, self), total)
+        return _pieces(units(), chain.from_iterable(map(ints, self)), total)
 
     def json(self, pad: str):
         """The JSON list of the partitions, its brackets indented by ``pad``."""

@@ -520,7 +520,8 @@ _INTS = (st.integers(-(10**6), 10**6) | st.integers(2**64, 2**80)
 @st.composite
 def _cutter_inputs(draw):
     """A floor on the piece size, runs of templates of any text with up to
-    four fields, their ints, and those ints cut into lists of any length."""
+    four fields, their ints, and those ints cut into lists and tuples of any
+    length."""
     literals = st.text(st.characters(blacklist_characters="%", blacklist_categories=("Cs",)))
     units = []
     for _ in range(draw(st.integers(0, 6))):
@@ -530,7 +531,8 @@ def _cutter_inputs(draw):
     total = sum(fields * count for _, fields, count in units)
     ints = draw(st.lists(_INTS, min_size=total, max_size=total))
     cuts = sorted(draw(st.sets(st.integers(1, max(total - 1, 1)))) & set(range(1, total)))
-    lists = [ints[i:j] for i, j in zip([0, *cuts], [*cuts, total])] if total else []
+    lists = [draw(st.sampled_from([list, tuple]))(ints[i:j])
+             for i, j in zip([0, *cuts], [*cuts, total])] if total else []
     return draw(st.integers(1, 8)), units, ints, lists
 
 
@@ -540,7 +542,7 @@ _EXAMPLE_INTS = [-(2**64), 2**64 + 1] * 7 + list(range(9))
 @settings(max_examples=300, deadline=None)
 @given(_cutter_inputs())
 @example((2, [('{\n  "a": %d,\n  "b": %d\n}', 2, 7), (",\n", 0, 1), ("%d", 1, 9)],
-          _EXAMPLE_INTS, [_EXAMPLE_INTS[:1], _EXAMPLE_INTS[1:3], _EXAMPLE_INTS[3:]]))
+          _EXAMPLE_INTS, [_EXAMPLE_INTS[:1], tuple(_EXAMPLE_INTS[1:3]), _EXAMPLE_INTS[3:]]))
 def test_pieces_are_the_records_cut_between_copies(inputs):
     floor, units, ints, lists = inputs
     # each copy of a template, with its fields, formatted per record as str
