@@ -42,8 +42,7 @@ PARTITION_MAX_N = 10**5
 COUNT_MAX_N = 250_000
 RENDER_MAX_WIDTH = 100  # longest staircase or rebuilt row, in cells
 LIST_MAX_LIMIT = 10_000  # largest --limit that count --list accepts
-# Fewest ints a piece is cut at (see _pieces), so that a small reply is one
-# piece: each piece costs a few microseconds to format and write.
+# Fewest ints a piece is cut at (see _pieces): each piece costs a few microseconds.
 PIECE_MIN_INTS = 512
 
 
@@ -269,14 +268,13 @@ class _Runs(list):
 
     def text(self, value: int):
         """The runs' lines ``  value = [a..b]``, each after a newline."""
-        flat = list(chain.from_iterable(self))
-        return _pieces([(f"\n  {value} = [%d..%d]", 2, len(self)), ("\n", 0, 1)], iter([flat]),
-                       len(flat))
+        units = [(f"\n  {value} = [%d..%d]", 2, len(self)), ("\n", 0, 1)]
+        return _pieces(units, iter([[*chain.from_iterable(self)]]), 2 * len(self))
 
 
 class _Partitions(list):
     """Partitions whose blocks go through one cutter call: a ``count --list``
-    listing, or the blocks of one partition."""
+    listing, which ``text_count`` writes a line each, or one partition."""
 
     def write(self, leads, sep: str, close: str, pad: str | None = None):
         """Each partition's blocks by ascending target after its lead from
@@ -305,8 +303,7 @@ class _Partitions(list):
                 if len(flat) + len(block) < PIECE_MIN_INTS:
                     flat += block
                 else:  # a piece's worth: the block is read in place, not copied
-                    yield flat
-                    yield block
+                    yield from (flat, block)
                     flat = []
             yield flat
 
@@ -318,11 +315,6 @@ class _Partitions(list):
         i1 = pad + "  "
         return self.write(chain([f"[{i1}{{"], repeat(f"{i1}}},{i1}{{")), ",", f"{i1}}}{pad}]",
                           i1 + "  ")
-
-    def text(self):
-        """The lines ``#i: U_t = {...}; ...`` of the partitions."""
-        return self.write(chain(["#1: "], map("\n#{}: ".format, range(2, len(self) + 1))),
-                          "; ", "\n")
 
 
 def cmd_runs(args: argparse.Namespace) -> tuple[dict, dict]:
@@ -376,7 +368,9 @@ def cmd_count(args: argparse.Namespace) -> tuple[dict, dict]:
 def text_count(input_echo: dict, result: dict):
     count, shown = result["count"], result.get("partitions")
     yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]\ncount = {count}\n"
-    yield from shown.text() if shown else ()
+    if shown:  # one line "#i: U_t = {...}; ..." per partition
+        yield from shown.write(chain(["#1: "], map("\n#{}: ".format, range(2, len(shown) + 1))),
+                               "; ", "\n")
     if result.get("truncated"):
         yield f"... {count - len(shown)} more not shown\n"
 

@@ -73,9 +73,8 @@ def verify(n: int, run: ConsecutiveRun, partition: Partition) -> VerifyReport:
 
 
 def _is_range(items: list, first: int, count: int) -> bool:
-    """Whether the sorted ``items`` are ``first`` and the ``count - 1`` ints
-    after it: there are ``count`` of them, the first is ``first`` and each
-    other is one more than the one before, so no set or list of them is built."""
+    """Whether the sorted ``items`` are first..first + count - 1, with no set or
+    list of them built: count items, the first one first, each other one more."""
     return (len(items) == count and items[:1] == [first]
             and countOf(map(sub, islice(items, 1, None), items), 1) == count - 1)
 
