@@ -571,6 +571,58 @@ def test_pieces_are_the_records_cut_between_copies(inputs):
         start += len(piece)
 
 
+# Separators as the writers use them, or drawn: any text that is not empty and
+# holds no `%`.
+_SEPARATORS = st.sampled_from([", ", ",", "\n", ",\n    ", ",\n      "]) | st.text(
+    st.characters(blacklist_characters="%", blacklist_categories=("Cs",)), min_size=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_INTS), _SEPARATORS, st.integers(1, 8))
+@example([-(2**64) - 1, 2**64, -1, 0, 1], ",\n    ", 2)
+def test_ints_match_str_joins(values, sep, floor):
+    # a run of ints with a separator between them, as a block's elements are
+    # cut: read as one list, or as tuples of three
+    units = [("%d", 1, 1), (sep + "%d", 1, len(values) - 1)] if values else []
+    size = max(floor, math.isqrt(len(values)))
+    for chunks in ([values], [tuple(values[i:i + 3]) for i in range(0, len(values), 3)]):
+        with mock.patch.object(cli, "PIECE_MIN_INTS", floor):
+            pieces = list(cli._pieces(iter(units), iter(chunks), len(values)))
+        assert "".join(pieces) == sep.join(map(str, values))
+        # every piece but the last holds the rule's size of ints
+        assert len(pieces) == max(1, -(-len(values) // size))
+
+
+@st.composite
+def _record_batches(draw):
+    """A record template of any text with ``width`` fields, as the runs that
+    make it up, one field each, and one to 40 records for it."""
+    width = draw(st.integers(0, 6))
+    literals = st.text(st.characters(blacklist_characters="%", blacklist_categories=("Cs",)))
+    texts = [draw(literals) for _ in range(width + 1)]
+    parts = [(text + "%d", 1, 1) for text in texts[:-1]] + [(texts[-1], 0, 1)]
+    rows = draw(st.lists(st.tuples(*[_INTS] * width), min_size=1, max_size=40))
+    return "%d".join(texts), parts, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_record_batches(), _SEPARATORS | st.just(""), _SEPARATORS, st.integers(1, 8))
+@example(('{\n  "a": %d,\n  "b": %d\n}', [('{\n  "a": %d', 1, 1), (',\n  "b": %d', 1, 1),
+                                          ("\n}", 0, 1)], [(-(2**64), 2**64 + 1)] * 17),
+         "[\n", ",\n", 2)
+def test_records_match_str_formatting_per_record(batch, lead, sep, floor):
+    template, parts, rows = batch
+    with mock.patch.object(cli, "PIECE_MIN_INTS", floor):
+        units = cli._record_units(parts, len(rows), lead, sep)
+        pieces = list(cli._pieces(iter(units), iter(rows), len(rows) * len(rows[0])))
+    records = [lead + template % rows[0], *(sep + template % row for row in rows[1:])]
+    assert "".join(pieces) == "".join(records)
+    # a record that fits in a piece is never cut
+    if len(rows[0]) <= floor:
+        ends = set(accumulate(map(len, records)))
+        assert set(accumulate(map(len, pieces))) <= ends | {0}
+
+
 def test_partition_without_blocks_is_an_empty_object():
     assert _written(Partition(1, ConsecutiveRun(1, 1), {})) == json.dumps({}, indent=2)
 
