@@ -27,8 +27,8 @@ import os
 import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
-from itertools import chain, groupby, islice, repeat
-from operator import sub
+from itertools import chain, groupby, islice, repeat, tee
+from operator import countOf, sub
 
 from . import oracle, render
 from .construct import solve
@@ -103,30 +103,27 @@ def _pieces(units, ints, total: int):
     fields at most, unless it is one wider copy.  Each piece is formatted once,
     as bytes, whose ``%`` copies the text between fields with ``memcpy``."""
     size = max(PIECE_MIN_INTS, math.isqrt(total))
-
-    def cut():  # the templates of each piece, and their number of fields
-        piece, room = [], size
-        for template, fields, count in units:
-            template = template.encode()
-            while count:
-                k = min(count, room // fields) if fields else count
-                if k < 1 and room < size:
-                    yield piece, size - room
-                    piece, room = [], size
-                    continue
-                k = max(k, 1)
-                piece.append(template * k)
-                room, count = room - k * fields, count - k
-        yield piece, size - room
-
     chunk, pos = (), 0  # the int sequence being read, and its first int not yet used
-    for piece, need in cut():
+
+    def fill(templates, need):  # the templates' text, with the next ``need`` ints
+        nonlocal chunk, pos
         args, pos = chunk[pos:pos + need], pos + need
         while len(args) < need:  # the rest from the next sequences
-            chunk = next(ints)
-            pos = need - len(args)
+            chunk, pos = next(ints), need - len(args)
             args = (*args, *chunk[:pos])
-        yield (b"".join(piece) % tuple(args)).decode()
+        return ("".join(templates).encode() % tuple(args)).decode()
+
+    templates, room = [], size
+    for template, fields, count in units:
+        while fields * count > room:  # the run does not fit: the copies that do, then a cut
+            k = max(room // fields, room == size)  # or one wider copy, alone in its piece
+            templates.append(template * k)
+            count -= k
+            yield fill(templates, size - room + k * fields)
+            templates, room = [], size
+        templates.append(template * count)
+        room -= fields * count
+    yield fill(templates, size - room)
 
 
 def _record_units(parts: list, count: int, lead: str, sep: str) -> list:
@@ -161,6 +158,8 @@ class _Trace(tuple):
         ``pair`` each pair's template, with its kind for ``%s``.  The fields
         are the layer's number (if ``numbered``), n, a, b, c, the ends of P and
         Q, the deficits, then target, low and high of each pair."""
+        if not self:  # no layers: no text, not even the frame's
+            return iter(())
         ns, as_, bs, cs, ms, lows, ends = self
         head_ints = 8 + numbered
         pairs = [pair % kind for kind in ("mirror-low", "exact", "mirror-high", "open")]
@@ -284,31 +283,34 @@ class _Partitions(list):
         head, item, tail = ("U_%d = {", ", ", "}") if pad is None else (
             f'{pad}"%d": [{pad}  ', f",{pad}  ", f"{pad}]")
 
+        # each partition's blocks and targets, sorted once for its templates and its ints
+        unit_keys, int_keys = tee((p.blocks, sorted(p.blocks)) for p in self)
+
         def units():
-            for partition, lead in zip(self, leads):
-                blocks = partition.blocks
-                for width, run in groupby(map(len, map(blocks.__getitem__, sorted(blocks)))):
+            for (blocks, keys), lead in zip(unit_keys, leads):
+                for width, run in groupby(map(len, map(blocks.__getitem__, keys))):
                     # an empty block is its head and tail with no space between
                     parts = [(head + "%d", 2, 1), (item + "%d", 1, width - 1), (tail, 0, 1)] \
                         if width else [(head.rstrip() + tail.strip(), 1, 1)]
-                    yield from _record_units(parts, len(list(run)), lead, sep)
+                    # countOf counts the run without holding it: each of its widths is width
+                    yield from _record_units(parts, countOf(run, width), lead, sep)
                     lead = sep
             yield close, 0, 1
 
-        def ints(partition):  # each block's target, then its elements
-            flat = []
-            for t in sorted(partition.blocks):
-                flat.append(t)
-                block = partition.blocks[t]
-                if len(flat) + len(block) < PIECE_MIN_INTS:
-                    flat += block
-                else:  # a piece's worth: the block is read in place, not copied
-                    yield from (flat, block)
-                    flat = []
-            yield flat
+        def ints():  # each block's target, then its elements
+            for blocks, keys in int_keys:
+                flat = []
+                for t, block in zip(keys, map(blocks.__getitem__, keys)):
+                    flat.append(t)
+                    if len(flat) + len(block) < PIECE_MIN_INTS:
+                        flat += block
+                    else:  # a piece's worth: the block is read in place, not copied
+                        yield from (flat, block)
+                        flat = []
+                yield flat
 
         total = sum(len(p.blocks) + sum(map(len, p.blocks.values())) for p in self)
-        return _pieces(units(), chain.from_iterable(map(ints, self)), total)
+        return _pieces(units(), ints(), total)
 
     def json(self, pad: str):
         """The JSON list of the partitions, its brackets indented by ``pad``."""
@@ -345,7 +347,7 @@ def cmd_partition(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def text_partition(input_echo: dict, result: dict):
-    yield from result["trace"].text() if result.get("trace") else ()
+    yield from result["trace"].text() if "trace" in result else ()
     yield f"n = {input_echo['n']}, run = [{input_echo['a']}..{input_echo['b']}]\n"
     yield from _Partitions([result["blocks"]]).write([""], "\n", "\n")
     yield "verified: ok\n"

@@ -495,7 +495,7 @@ _BLOCK_FIELDS = re.compile(
     r'^ +-?[0-9]+,?$|"-?[0-9]+": \[|U_-?[0-9]+|[{ ]-?[0-9]+(?:[,}]|$)', re.MULTILINE)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_PARTITIONS)
 @example(Partition(1, ConsecutiveRun(1, 1), {3: (1, 2), 5: tuple(range(1, 1001)), 9: (), 11: (4,)}))
 def test_partition_writers_keep_their_bytes(partition):
@@ -539,7 +539,7 @@ def _cutter_inputs(draw):
 _EXAMPLE_INTS = [-(2**64), 2**64 + 1] * 7 + list(range(9))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_cutter_inputs())
 @example((2, [('{\n  "a": %d,\n  "b": %d\n}', 2, 7), (",\n", 0, 1), ("%d", 1, 9)],
           _EXAMPLE_INTS, [_EXAMPLE_INTS[:1], tuple(_EXAMPLE_INTS[1:3]), _EXAMPLE_INTS[3:]]))
@@ -577,7 +577,7 @@ _SEPARATORS = st.sampled_from([", ", ",", "\n", ",\n    ", ",\n      "]) | st.te
     st.characters(blacklist_characters="%", blacklist_categories=("Cs",)), min_size=1)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(_INTS), _SEPARATORS, st.integers(1, 8))
 @example([-(2**64) - 1, 2**64, -1, 0, 1], ",\n    ", 2)
 def test_ints_match_str_joins(values, sep, floor):
@@ -605,7 +605,7 @@ def _record_batches(draw):
     return "%d".join(texts), parts, rows
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_record_batches(), _SEPARATORS | st.just(""), _SEPARATORS, st.integers(1, 8))
 @example(('{\n  "a": %d,\n  "b": %d\n}', [('{\n  "a": %d', 1, 1), (',\n  "b": %d', 1, 1),
                                           ("\n}", 0, 1)], [(-(2**64), 2**64 + 1)] * 17),
@@ -733,8 +733,8 @@ def test_layer_record_writers_match_the_trace_writers(n, pick):
     assert records == reference_solve(inst)[1]
     reference = _trace_json(records)
     assert _written(cli._Trace(trace)) == json.dumps(reference, indent=2)
-    text = "".join(cli._Trace(trace).text()) if records else ""
-    assert text == "".join(line + "\n" for line in _trace_text(reference))
+    assert "".join(cli._Trace(trace).text()) == "".join(
+        line + "\n" for line in _trace_text(reference))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 24, 300])
