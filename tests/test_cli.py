@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from itertools import accumulate, islice
 from pathlib import Path
@@ -860,6 +861,22 @@ def test_wide_blocks_and_layers_are_written_in_bounded_pieces(args, bound, diges
     # and in few of them: each piece costs a write call
     assert len(stdout.pieces) <= math.isqrt(len(reply))
     assert hashlib.sha256(reply.encode()).hexdigest() == digest
+
+
+def test_blocks_writer_holds_one_sorted_list_of_targets():
+    # the widest layer's 34,375 blocks: one sorted list of their targets is
+    # 0.28 MB; a second sort, or a list per run of equal widths, adds as much
+    partition, _ = construct.solve(Instance(10**5, ConsecutiveRun(128269, 162643)))
+    # as JSON, and as text
+    for args in ((["{"], ",", "\n  }", "\n    "), ([""], "\n", "\n")):
+        tracemalloc.start()
+        try:
+            for _ in cli._Partitions([partition]).write(*args):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 450_000
 
 
 @pytest.mark.parametrize(
