@@ -172,10 +172,11 @@ class _Trace(tuple):
             groups.append((lo, hi, s))
             lo = hi
 
-        def ints():  # each run of k layers, about sqrt(k) layers at a time, laid out by
-            # slice assignment from column slices, along the shorter axis
+        def ints():  # each run of k layers, about sqrt(k) layers but at least a piece's
+            # PIECE_MIN_INTS ints at a time, laid out by slice assignment from
+            # column slices, along the shorter axis
             for start, stop, s in groups:
-                step = math.isqrt(stop - start)
+                step = max(math.isqrt(stop - start), PIECE_MIN_INTS // (head_ints + 4 * s))
                 for lo in range(start, stop, step):
                     hi = min(lo + step, stop)
                     t = hi - lo

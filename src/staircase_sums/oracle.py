@@ -8,7 +8,7 @@ targets still need, so either side can catch the other out.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from itertools import chain, islice
 from operator import countOf, sub
@@ -85,7 +85,8 @@ def _moves(state: tuple[int, ...], e: int) -> Iterator[tuple[int, int, tuple[int
     ``state`` is the sorted tuple of positive deficits before e is placed; e
     can go to any deficit d >= e, and the copies of an equal d all lead to the
     same next state.  Each of the elements e-1..1 closes at most one deficit,
-    so a next state with more than e-1 deficits is never yielded.
+    so a next state with more than e-1 deficits is never yielded.  The listing
+    takes its moves from here; the count makes the same moves in its own loop.
     """
     last = len(state)
     i = bisect_left(state, e)
@@ -108,8 +109,11 @@ def _count_partitions(n: int, targets: tuple[int, ...]) -> int:
     Elements are placed n, n-1, ..., 1, one level each; each level maps the
     states reachable before element e is placed to the number of ways to
     reach them.  A state with one deficit left, which is then T(e), has
-    exactly one completion: elements e..1 all go to that target.  Raises
-    ValueError once the next states built add up to more than
+    exactly one completion: elements e..1 all go to that target.  Each state
+    makes the moves of :func:`_moves`, in its order, inline with no generator:
+    the copies of a deficit equal to e close at once, and while the state has
+    fewer than e deficits, each larger distinct deficit d becomes d - e.
+    Raises ValueError once the next states built add up to more than
     ``CENSUS_MAX_ENTRIES`` deficits, so one wide state cannot outrun the bound.
     """
     count = 0
@@ -118,17 +122,29 @@ def _count_partitions(n: int, targets: tuple[int, ...]) -> int:
     for e in range(n, 0, -1):
         below: dict[tuple[int, ...], int] = {}
         for state, ways in level.items():
-            if len(state) == 1:
+            last = len(state)
+            if last == 1:
                 count += ways
                 continue
-            for _, mult, nxt in _moves(state, e):
+            i = bisect_left(state, e)
+            while i < last:
+                d = state[i]
+                j = bisect_right(state, d, i + 1)  # past the copies of d
+                if d == e:
+                    nxt = state[:i] + state[i + 1:]
+                elif last < e:
+                    k = bisect_left(state, d - e, 0, i)
+                    nxt = state[:k] + (d - e,) + state[k:i] + state[i + 1:]
+                else:  # elements e-1..1 cannot close this many deficits
+                    break
                 entries += len(nxt)
                 if entries > CENSUS_MAX_ENTRIES:
                     raise ValueError(
                         f"the census of n={n}, targets {targets[0]}..{targets[-1]} builds "
                         f"more than {CENSUS_MAX_ENTRIES} deficit entries; refused"
                     )
-                below[nxt] = below.get(nxt, 0) + mult * ways
+                below[nxt] = below.get(nxt, 0) + (j - i) * ways
+                i = j
         if not below:
             break
         level = below

@@ -95,6 +95,22 @@ def _listed(inst, limit=None):
     return count, [tuple(p.blocks[t] for t in inst.run.values()) for p in partitions]
 
 
+def _count_by_moves(n, targets):
+    """Reference count: the census's level loop, each state's moves taken from
+    ``oracle._moves``, the generator the listing searches with."""
+    count, level = 0, {targets: 1}
+    for e in range(n, 0, -1):
+        below = {}
+        for state, ways in level.items():
+            if len(state) == 1:
+                count += ways
+                continue
+            for _, mult, nxt in oracle._moves(state, e):
+                below[nxt] = below.get(nxt, 0) + mult * ways
+        level = below
+    return count
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -329,6 +345,18 @@ def test_enumerate_all_matches_backtracking_reference():
     assert checked == 38
 
 
+def test_count_loop_makes_the_listings_moves():
+    # every run of T(n) for n <= 15, six and seven targets, and two-target
+    # runs, whose states hold one or two deficits
+    instances = [(n, tuple(run.values())) for n in range(1, 16)
+                 for run in enumerate_runs(triangular(n))]
+    assert len(instances) == 54
+    instances += [(17, tuple(range(23, 29))), (20, tuple(range(27, 34))), (13, (45, 46)),
+                  (30, (232, 233)), (61, (945, 946))]
+    for n, targets in instances:
+        assert oracle._count_partitions(n, targets) == _count_by_moves(n, targets), (n, targets)
+
+
 @pytest.mark.parametrize("n,a,b,cap", [(14, 15, 20, 40), (12, 25, 27, 7)])
 def test_enumerate_all_capped_listing_matches_backtracking_reference(n, a, b, cap):
     inst = Instance(n, ConsecutiveRun(a, b))
@@ -344,12 +372,17 @@ def test_enumerate_all_deep_forced_count():
 
 
 def test_enumerate_all_refuses_past_state_cap(monkeypatch):
-    # (14,15,20) builds 17,605 deficit entries and (12,25,27) 782
+    # (14,15,20) builds 17,605 deficit entries and (12,25,27) 782: each answers
+    # at a bound of its exact total and is refused one below it
+    for n, a, b, total, count in [(14, 15, 20, 17_605, 1707), (12, 25, 27, 782, 593)]:
+        inst = Instance(n, ConsecutiveRun(a, b))
+        monkeypatch.setattr(oracle, "CENSUS_MAX_ENTRIES", total)
+        assert enumerate_all(inst)[0] == count
+        monkeypatch.setattr(oracle, "CENSUS_MAX_ENTRIES", total - 1)
+        with pytest.raises(ValueError, match=f"more than {total - 1} deficit entries"):
+            enumerate_all(inst)
     bound = 10_000
     monkeypatch.setattr(oracle, "CENSUS_MAX_ENTRIES", bound)
-    with pytest.raises(ValueError, match="deficit entries"):
-        enumerate_all(Instance(14, ConsecutiveRun(15, 20)))
-    assert enumerate_all(Instance(12, ConsecutiveRun(25, 27)))[0] == 593
     # 385 targets: every state of the first level is 385 entries wide, so the
     # bound must be checked as each one is built, not once per state expanded
     tracemalloc.start()
