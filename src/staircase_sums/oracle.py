@@ -1,15 +1,14 @@
 """Independent checking and exhaustive census of block partitions.
 
 Nothing here shares code with :mod:`staircase_sums.construct`; this module imports
-only the value types of :mod:`staircase_sums.runs`.  Verification is plain set and
-sequence arithmetic and the census is a count over the multisets of deficits the
-targets still need, so either side can catch the other out.
+only the value types of :mod:`staircase_sums.runs`.  Verification sorts and counts,
+building sets only to name what it finds wrong, and the census is a count over the
+multisets of deficits the targets still need, so either side can catch the other out.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
 from itertools import chain, islice
 from operator import countOf, sub
 
@@ -79,30 +78,6 @@ def _is_range(items: list, first: int, count: int) -> bool:
             and countOf(map(sub, islice(items, 1, None), items), 1) == count - 1)
 
 
-def _moves(state: tuple[int, ...], e: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-    """Yield (deficit, multiplicity, next state) for each place element e can go.
-
-    ``state`` is the sorted tuple of positive deficits before e is placed; e
-    can go to any deficit d >= e, and the copies of an equal d all lead to the
-    same next state.  Each of the elements e-1..1 closes at most one deficit,
-    so a next state with more than e-1 deficits is never yielded.  The listing
-    takes its moves from here; the count makes the same moves in its own loop.
-    """
-    last = len(state)
-    i = bisect_left(state, e)
-    while i < last:
-        d = state[i]
-        j = i + 1
-        while j < last and state[j] == d:
-            j += 1
-        if d == e:
-            yield d, j - i, state[:i] + state[i + 1:]
-        elif last < e:
-            k = bisect_left(state, d - e, 0, i)
-            yield d, j - i, state[:k] + (d - e,) + state[k:i] + state[i + 1:]
-        i = j
-
-
 def _count_partitions(n: int, targets: tuple[int, ...]) -> int:
     """Number of partitions of {1..n} into blocks summing to ``targets``.
 
@@ -110,9 +85,11 @@ def _count_partitions(n: int, targets: tuple[int, ...]) -> int:
     states reachable before element e is placed to the number of ways to
     reach them.  A state with one deficit left, which is then T(e), has
     exactly one completion: elements e..1 all go to that target.  Each state
-    makes the moves of :func:`_moves`, in its order, inline with no generator:
-    the copies of a deficit equal to e close at once, and while the state has
-    fewer than e deficits, each larger distinct deficit d becomes d - e.
+    makes its moves inline, with no generator: the copies of a deficit equal
+    to e close at once, and while the state has fewer than e deficits, each
+    larger distinct deficit d becomes d - e.  Each of the elements e-1..1
+    closes at most one deficit, so a state of e or more deficits makes no
+    other move.  :func:`_list_partitions` makes the same moves one at a time.
     Raises ValueError once the next states built add up to more than
     ``CENSUS_MAX_ENTRIES`` deficits, so one wide state cannot outrun the bound.
     """
@@ -154,10 +131,13 @@ def _count_partitions(n: int, targets: tuple[int, ...]) -> int:
 def _list_partitions(inst: Instance, cap: int) -> list[Partition]:
     """The first ``cap`` partitions in search order: elements n..1, targets ascending.
 
-    An iterative depth-first search over per-target deficits.  A state whose
-    subtree it searched to the end without finding a partition has no
-    completion; it is remembered and never entered again, so the search takes
-    about n steps per partition plus one visit per such dead state.
+    An iterative depth-first search over per-target deficits.  It tries the
+    count's moves, building only the next state of the move it tries: element
+    e goes to a target whose deficit d equals e, closing it, or, while the
+    state holds fewer than e deficits, to one whose d is larger, leaving d - e.
+    A state whose subtree it searched to the end without finding a partition
+    has no completion; it is remembered and never entered again, so the search
+    takes about n steps per partition plus one visit per such dead state.
     """
     n, targets = inst.n, tuple(inst.run.values())
     s = len(targets)
@@ -166,7 +146,6 @@ def _list_partitions(inst: Instance, cap: int) -> list[Partition]:
     states = [()] * (n + 1)  # states[e]: the sorted positive deficits before e is placed
     states[n] = targets
     found = [0] * (n + 1)  # found[e]: partitions listed when the search entered states[e]
-    steps: list[dict] = [{}] * (n + 1)  # steps[e]: deficit -> next state, for states[e]
     dead: set[tuple[int, ...]] = set()
     out: list[Partition] = []
     e, ti = n, 0
@@ -177,10 +156,16 @@ def _list_partitions(inst: Instance, cap: int) -> list[Partition]:
                 blocks[owner[x]].append(x)
             out.append(Partition(n, inst.run, dict(zip(targets, map(tuple, blocks)))))
         else:
-            if ti == 0:  # the search has just entered states[e]
-                steps[e] = {d: nxt for d, _, nxt in _moves(states[e], e)}
+            state = states[e]
             while ti < s:
-                nxt = steps[e].get(deficits[ti])
+                d, nxt = deficits[ti], None
+                if d == e:
+                    i = bisect_left(state, d)
+                    nxt = state[:i] + state[i + 1:]
+                elif d > e and len(state) < e:
+                    i = bisect_left(state, d)
+                    k = bisect_left(state, d - e, 0, i)
+                    nxt = state[:k] + (d - e,) + state[k:i] + state[i + 1:]
                 if nxt is not None and nxt not in dead:
                     break
                 ti += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -95,9 +96,32 @@ def _listed(inst, limit=None):
     return count, [tuple(p.blocks[t] for t in inst.run.values()) for p in partitions]
 
 
+def _moves(state, e):
+    """Yield (deficit, multiplicity, next state) for each place element e can go.
+
+    ``state`` is the sorted tuple of positive deficits before e is placed; e
+    can go to any deficit d >= e, and the copies of an equal d all lead to the
+    same next state.  Each of the elements e-1..1 closes at most one deficit,
+    so a next state with more than e-1 deficits is never yielded.
+    """
+    last = len(state)
+    i = bisect_left(state, e)
+    while i < last:
+        d = state[i]
+        j = i + 1
+        while j < last and state[j] == d:
+            j += 1
+        if d == e:
+            yield d, j - i, state[:i] + state[i + 1:]
+        elif last < e:
+            k = bisect_left(state, d - e, 0, i)
+            yield d, j - i, state[:k] + (d - e,) + state[k:i] + state[i + 1:]
+        i = j
+
+
 def _count_by_moves(n, targets):
     """Reference count: the census's level loop, each state's moves taken from
-    ``oracle._moves``, the generator the listing searches with."""
+    :func:`_moves`, a generator of the same moves kept apart from the package."""
     count, level = 0, {targets: 1}
     for e in range(n, 0, -1):
         below = {}
@@ -105,7 +129,7 @@ def _count_by_moves(n, targets):
             if len(state) == 1:
                 count += ways
                 continue
-            for _, mult, nxt in oracle._moves(state, e):
+            for _, mult, nxt in _moves(state, e):
                 below[nxt] = below.get(nxt, 0) + mult * ways
         level = below
     return count
@@ -369,6 +393,21 @@ def test_enumerate_all_deep_forced_count():
     count, partitions = enumerate_all(inst, limit=None)
     assert count == 1
     assert partitions[0].blocks == {triangular(n): tuple(range(1, n + 1))}
+
+
+def test_deep_listing_holds_one_state_per_level():
+    # one target, T(n): the search goes n levels deep, and keeps one state
+    # and a few ints per level, not a table of each level's moves
+    n = 20_000
+    inst = Instance(n, ConsecutiveRun(triangular(n), triangular(n)))
+    tracemalloc.start()
+    try:
+        count, partitions = enumerate_all(inst, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (count, len(partitions)) == (1, 1)
+    assert peak < 250 * n
 
 
 def test_enumerate_all_refuses_past_state_cap(monkeypatch):
