@@ -47,7 +47,7 @@ def test_harness_checks_pass_on_one_request_of_each_workload(monkeypatch):
 
 def test_python_files_parse_as_python_3_10():
     # syntax only: a call to a library function added after 3.10 still parses
-    paths = [path for part in ("src", "tests", "perfbench") for path in (ROOT / part).rglob("*.py")]
+    paths = [path for part in ("src", "tests", "perfbench", "tools") for path in (ROOT / part).rglob("*.py")]
     assert len(paths) > 10
     for path in paths:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
