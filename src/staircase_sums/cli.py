@@ -262,7 +262,9 @@ class _Runs(list):
         """The JSON list of the runs, its brackets indented by ``pad``."""
         i1, i2 = pad + "  ", pad + "    "
         record = f'{{{i2}"a": %d,{i2}"b": %d,{i2}"length": %d{i1}}}'
-        flat = [x for a, b in self for x in (a, b, b - a + 1)]
+        flat = [0] * (3 * len(self))  # a, b and the length of each run
+        flat[0::3], flat[1::3] = zip(*self)
+        flat[2::3] = [b - a + 1 for a, b in self]
         units = [("[" + i1 + record, 3, 1), ("," + i1 + record, 3, len(self) - 1)]
         return _pieces([*units, (pad + "]", 0, 1)], iter([flat]), len(flat))
 

@@ -172,28 +172,34 @@ def _find_factor(n: int) -> int:
 
     Brent, "An improved Monte Carlo factorization algorithm", BIT 20 (1980).
     Starts are fixed, so the factor found is deterministic.  Each constant c
-    walks with one gcd per batch of 128 steps; if that ends at gcd n, a batch
-    overshot, and the walk runs once more with one gcd per step (each step's
-    own gcd, since every earlier one was 1), which stops where the factor
-    first appears.  If that gcd is n too, the walk collapsed: try c + 1.
+    walks with one gcd per batch of 128 steps; if that ends at gcd n, the last
+    batch overshot, and it is replayed from its start with one gcd per step
+    (each step's own, since the product before the batch was prime to n),
+    which stops where the factor first appears.  If that gcd is n too, the
+    walk collapsed: try c + 1.
     """
     for c in itertools.count(1):
-        for batch in (128, 1):
-            y, q, g, r = 2, 1, 1, 1
-            while g == 1:
-                x = y
-                for _ in range(r):
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                start = y
+                for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                k = 0
-                while k < r and g == 1:
-                    for _ in range(min(batch, r - k)):
-                        y = (y * y + c) % n
-                        q = q * (x - y) % n
-                    g = math.gcd(q, n)
-                    k += batch
-                r *= 2
-            if g != n:
-                return g
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the last batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                start = (start * start + c) % n
+                g = math.gcd(x - start, n)
+        if g != n:
+            return g
 
 
 def _odd_prime_factors(value: int) -> dict[int, int]:

@@ -943,3 +943,45 @@ def test_runs_replies_build_no_run_objects(monkeypatch):
     assert built == []
     ConsecutiveRun(15, 20)  # the count sees the runs that are built
     assert built == [(15, 20)]
+
+
+# argv drawn from the CLI's grammar (runs of T(n) for small n, so that many
+# requests are answered), with malformed tokens put in place of or among them
+_MALFORMED = st.sampled_from(["", "x", "-", "--", "1.5", "0x10", "1e3", " 7", "٣", "-0", "+3",
+                              "9" * 30, "-" + "9" * 25, "--trace", "--list", "--limit", "--js",
+                              "--force", "--bogus", "selftest", "runs", "%d", "\x00"])
+
+
+@st.composite
+def _fuzzed_argvs(draw):
+    command = draw(st.sampled_from(["runs", "partition", "count", "render"]))
+    n = draw(st.integers(0, {"runs": 10**13, "partition": 60, "count": 12, "render": 15}[command]))
+    argv = [command, str(n)]
+    if command != "runs" and (command != "render" or draw(st.booleans())):
+        runs = enumerate_runs(triangular(n)) if n else []
+        if runs and draw(st.integers(0, 3)):
+            run = draw(st.sampled_from(runs))
+            argv += [str(run.a), str(run.b)]
+        else:
+            argv += [str(draw(st.integers(-3, 200))) for _ in range(2)]
+    flags = {"partition": ["--trace"], "count": ["--list", "--limit", "--force"]}.get(command, [])
+    for flag in draw(st.lists(st.sampled_from(flags + ["--json", "--no-timing"]), unique=True)):
+        argv += [flag, str(draw(st.integers(-1, 12)))] if flag == "--limit" else [flag]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):  # a malformed token, in place of one or added
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(_MALFORMED)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzzed_argvs())
+def test_fuzzed_argv_exits_0_or_2_and_every_json_reply_fits_the_schema(envelope_schema, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    elif out.getvalue().startswith("{"):
+        jsonschema.validate(json.loads(out.getvalue()), envelope_schema)

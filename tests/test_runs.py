@@ -188,6 +188,44 @@ def test_find_factor_redoes_an_overshooting_walk_one_step_at_a_time(monkeypatch,
     assert odd_divisors(value) == _odd_divisors_by_trial(value)
 
 
+def _brent_walk(n: int, c: int, batch: int) -> int:
+    """The gcd at which Brent's walk with constant c stops, one gcd per ``batch`` steps."""
+    y, q, g, r = 2, 1, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            for _ in range(min(batch, r - k)):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = math.gcd(q, n)
+            k += batch
+        r *= 2
+    return g
+
+
+def _reference_find_factor(n: int) -> int:
+    """Brent's walk with one gcd per step, written apart from _find_factor."""
+    return next(g for c in itertools.count(1) if (g := _brent_walk(n, c, 1)) != n)
+
+
+def test_find_factor_replays_only_the_batch_that_overshot():
+    # odd composites above 3 * 10^8 with no prime factor below 1024, as
+    # odd_divisors hands them to _find_factor, whose c = 1 walk overshoots
+    overshoots = []
+    for value in range(3 * 10**8 + 1, 3 * 10**8 + 10**6, 2):
+        if all(value % p for p in _TRIAL_PRIMES) and not _is_prime(value) \
+                and _brent_walk(value, 1, 128) == value:
+            overshoots.append(value)
+            if len(overshoots) == 40:
+                break
+    assert len(overshoots) == 40
+    for value in overshoots:
+        assert _find_factor(value) == _reference_find_factor(value), value
+
+
 def _strong_probable_prime_to_twelve_bases(n: int) -> bool:
     d, r = n - 1, 0
     while not d & 1:
