@@ -28,7 +28,7 @@ import sys
 import time
 from _json import encode_basestring_ascii  # json.encoder's C escaper
 from itertools import chain, groupby, islice, repeat, tee
-from operator import countOf, sub
+from operator import countOf, itemgetter, sub
 
 from . import oracle, render
 from .construct import solve
@@ -52,45 +52,60 @@ def to_json(value, write, pad: str = "\n") -> None:
 
     ``write`` takes the pieces in order; ``pad`` is a newline plus the
     indentation of the line ``value`` starts on.  The stdlib drops to its
-    pure-Python encoder whenever an indent is set; this writer makes one call
-    per container, and writes a :class:`Partition` and each declared record
-    list (:class:`_Trace`, :class:`_Runs`, :class:`_Partitions`) in the pieces
-    of :func:`_pieces`.
+    pure-Python encoder whenever an indent is set; this writer gathers the
+    text of the containers and scalars and writes it in one call before each
+    :class:`Partition` and declared record list (:class:`_Trace`,
+    :class:`_Runs`, :class:`_Partitions`), whose pieces come from
+    :func:`_pieces`, and one at the end.
     Like the stdlib, it raises TypeError on any other type; it also raises it
     on a key that is not a str, and ValueError on NaN or infinity.
     """
+    text: list[str] = []
+    _to_json(value, text, write, pad)
+    write("".join(text))
+
+
+def _to_json(value, text: list, write, pad: str) -> None:
+    """:func:`to_json` of ``value``, its text appended to ``text`` until a record
+    list writes it out."""
     if isinstance(value, str):
-        text = encode_basestring_ascii(value)
+        text.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:
-        text = "null" if value is None else "true" if value else "false"
+        text.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
-        text = int.__repr__(value)
+        text.append(int.__repr__(value))
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        text = float.__repr__(value)
+        text.append(float.__repr__(value))
     elif not isinstance(value, (list, tuple, dict, Partition)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     elif not (value.blocks if isinstance(value, Partition) else value):
-        text = "[]" if isinstance(value, (list, tuple)) else "{}"
+        text.append("[]" if isinstance(value, (list, tuple)) else "{}")
     elif isinstance(value, (Partition, _Trace, _Runs, _Partitions)):
-        pieces = _Partitions([value]).write(["{"], ",", pad + "}", pad + "  ") \
-            if isinstance(value, Partition) else value.json(pad)
-        for piece in pieces:
+        write("".join(text))
+        text.clear()
+        for piece in _Partitions([value]).write(["{"], ",", pad + "}", pad + "  ") \
+                if isinstance(value, Partition) else value.json(pad):
             write(piece)
-        return
     else:
         inner = pad + "  "
-        head = ("{" if isinstance(value, dict) else "[") + inner
-        # the escaper itself raises TypeError on a key that is not a str
-        items = ((encode_basestring_ascii(key) + ": ", item) for key, item in value.items()) \
-            if isinstance(value, dict) else (("", item) for item in value)
-        for key, item in items:
-            write(head + key)
-            to_json(item, write, inner)
-            head = "," + inner
-        text = pad + ("}" if isinstance(value, dict) else "]")
-    write(text)
+        lead = inner
+        if isinstance(value, dict):
+            text.append("{")
+            for key, item in value.items():
+                # the escaper itself raises TypeError on a key that is not a str
+                text.append(lead + encode_basestring_ascii(key) + ": ")
+                _to_json(item, text, write, inner)
+                lead = "," + inner
+            text.append(pad + "}")
+        else:
+            text.append("[")
+            for item in value:
+                text.append(lead)
+                _to_json(item, text, write, inner)
+                lead = "," + inner
+            text.append(pad + "]")
 
 
 def _pieces(units, ints, total: int):
@@ -150,19 +165,18 @@ class _Trace(tuple):
     def __bool__(self) -> bool:  # with no layers, written as [] like an empty list
         return bool(self[0])
 
-    def _write(self, layer, pair: str, joins: tuple, frame: tuple, numbered: bool):
+    def _write(self, layer, pairs: tuple, joins: tuple, frame: tuple, numbered: bool):
         """The layers in pieces, ``frame`` the text before the first layer,
         between two and after the last: ``layer(s, m, low)`` gives a layer's
         text before its deficits, between them and its pairs, and after its
         pairs; ``joins`` the text between two deficits and two pairs, and
-        ``pair`` each pair's template, with its kind for ``%s``.  The fields
-        are the layer's number (if ``numbered``), n, a, b, c, the ends of P and
-        Q, the deficits, then target, low and high of each pair."""
+        ``pairs`` the pair templates of the four kinds.  The fields are the
+        layer's number (if ``numbered``), n, a, b, c, the ends of P and Q, the
+        deficits, then target, low and high of each pair."""
         if not self:  # no layers: no text, not even the frame's
             return iter(())
         ns, as_, bs, cs, ms, lows, ends = self
         head_ints = 8 + numbered
-        pairs = [pair % kind for kind in ("mirror-low", "exact", "mirror-high", "open")]
         pair_ends = iter(ends)  # ints come in order, each layer taking its 2s ends
 
         groups, lo = [], 0
@@ -172,41 +186,46 @@ class _Trace(tuple):
             groups.append((lo, hi, s))
             lo = hi
 
-        def ints():  # each run of k layers, about sqrt(k) layers but at least a piece's
-            # PIECE_MIN_INTS ints at a time, laid out by slice assignment from
-            # column slices, along the shorter axis
+        def ints():  # a layer a row, or a run of k layers of s <= k targets by columns, about
+            # sqrt(k) layers but at least a piece's PIECE_MIN_INTS ints at a time
+            flat = []
             for start, stop, s in groups:
+                # each layer's pairs sum to c, so with Q = [q..n] it has P = [c - n..c - q];
+                # target i has deficit c - a - i, and pair ends[2i], ends[2i + 1]
+                if s > stop - start:
+                    for r in range(start, stop):
+                        n, a, c = ns[r], as_[r], cs[r]
+                        q = n - s + 1
+                        flat += (r + 1,) * numbered
+                        flat += (n, a, a + s - 1, c, c - n, c - q, q, n)
+                        flat += range(c - a, c - a - s, -1)
+                        flat += chain.from_iterable(zip(range(a, a + s), pair_ends, pair_ends))
+                        if len(flat) >= PIECE_MIN_INTS:
+                            yield flat
+                            flat = []
+                    continue
+                yield flat
                 step = max(math.isqrt(stop - start), PIECE_MIN_INTS // (head_ints + 4 * s))
                 for lo in range(start, stop, step):
                     hi = min(lo + step, stop)
-                    t = hi - lo
+                    d, e, width = head_ints, head_ints + s, head_ints + 4 * s
+                    flat = [0] * ((hi - lo) * width)
                     n, a, c = ns[lo:hi], as_[lo:hi], cs[lo:hi]
-                    # each layer's pairs sum to c, so with Q = [q..n] it has P = [c - n..c - q]
                     q = list(map((1 - s).__add__, n))
                     heads = [range(lo + 1, hi + 1)] * numbered + [
                         n, a, bs[lo:hi], c, map(sub, c, n), map(sub, c, q), q, n]
-                    d, e = len(heads), len(heads) + s  # where the deficits and the triples start
-                    width = e + 3 * s
-                    flat = [0] * (t * width)
                     for j, column in enumerate(heads):
                         flat[j::width] = column
-                    ends = list(islice(pair_ends, 2 * s * t))
-                    # per target i: deficit c - a - i, target a + i, pair ends[2i], ends[2i + 1]
-                    if s <= t:
-                        deficits = list(map(sub, c, a))
-                        for i in range(s):
-                            flat[d + i::width] = map((-i).__add__, deficits)
-                            flat[e + 3 * i::width] = map(i.__add__, a)
-                            flat[e + 3 * i + 1::width] = ends[2 * i::2 * s]
-                            flat[e + 3 * i + 2::width] = ends[2 * i + 1::2 * s]
-                    else:  # per layer r: deficits c - a to c - b, targets a to b, ends from 2sr
-                        for r, first, deficit in zip(range(t), a, map(sub, c, a)):
-                            row, end = r * width, 2 * s * r
-                            flat[row + d:row + e] = range(deficit, deficit - s, -1)
-                            flat[row + e:row + width:3] = range(first, first + s)
-                            flat[row + e + 1:row + width:3] = ends[end:end + 2 * s:2]
-                            flat[row + e + 2:row + width:3] = ends[end + 1:end + 2 * s:2]
+                    deficits = list(map(sub, c, a))
+                    ends = list(islice(pair_ends, 2 * s * (hi - lo)))
+                    for i in range(s):
+                        flat[d + i::width] = map((-i).__add__, deficits) if i else deficits
+                        flat[e + 3 * i::width] = map(i.__add__, a) if i else a
+                        flat[e + 3 * i + 1::width] = ends[2 * i::2 * s]
+                        flat[e + 3 * i + 2::width] = ends[2 * i + 1::2 * s]
                     yield flat
+                flat = []
+            yield flat
 
         def units():
             lead, sep, close = frame
@@ -227,30 +246,41 @@ class _Trace(tuple):
 
     def json(self, pad: str):
         """The JSON list of the layers, its brackets indented by ``pad``."""
-        i1, i2, i3, i4, i5 = (pad + "  " * k for k in range(1, 6))
-        pair = f'{{{i4}"target": %%d,{i4}"pair": [{i5}%%d,{i5}%%d{i4}],{i4}"kind": "%s"{i3}}}'
-        before_s = f'{{{i2}"n": %d,{i2}"run": {{{i3}"a": %d,{i3}"b": %d{i2}}},{i2}"s": '
-        after_s = (f',{i2}"c": %d,{i2}"p_range": [{i3}%d,{i3}%d{i2}],'
-                   f'{i2}"q_range": [{i3}%d,{i3}%d{i2}],{i2}"deficits": [{i3}')
-
-        def layer(s, m, low):
-            return (f"{before_s}{s}{after_s}",
-                    f'{i2}],{i2}"m": {m},{i2}"l": {"null" if low is None else low},'
-                    f'{i2}"assignments": [{i3}',
-                    f"{i2}]{i1}}}")
-
-        return self._write(layer, pair, ("," + i3, "," + i3), ("[" + i1, "," + i1, pad + "]"),
-                           False)
+        return self._write(*_trace_json(pad), False)
 
     def text(self):
         """The layers as text: each one's state line, then a line per pair."""
+        return self._write(_text_layer, _TEXT_PAIRS, (",", "\n"), ("", "\n", "\n"), True)
 
-        def layer(s, m, low):
-            return (f"layer %d: n=%d run=[%d..%d] s={s} c=%d P=[%d..%d] Q=[%d..%d] deficits=[",
-                    f"] m={m}{'' if low is None else f' l={low}'}\n", "")
 
-        return self._write(layer, "  target %%d <- (%%d, %%d)  [%s]", (",", "\n"), ("", "\n", "\n"),
-                           True)
+_KINDS = ("mirror-low", "exact", "mirror-high", "open")
+_TEXT_PAIRS = tuple(f"  target %d <- (%d, %d)  [{kind}]" for kind in _KINDS)
+
+
+def _text_layer(s, m, low):
+    return (f"layer %d: n=%d run=[%d..%d] s={s} c=%d P=[%d..%d] Q=[%d..%d] deficits=[",
+            f"] m={m}{'' if low is None else f' l={low}'}\n", "")
+
+
+@functools.cache
+def _trace_json(pad: str) -> tuple:
+    """``_Trace._write``'s text for the JSON list of layers with brackets
+    indented by ``pad``, built once per indent."""
+    i1, i2, i3, i4, i5 = (pad + "  " * k for k in range(1, 6))
+    before_s = f'{{{i2}"n": %d,{i2}"run": {{{i3}"a": %d,{i3}"b": %d{i2}}},{i2}"s": '
+    after_s = (f',{i2}"c": %d,{i2}"p_range": [{i3}%d,{i3}%d{i2}],'
+               f'{i2}"q_range": [{i3}%d,{i3}%d{i2}],{i2}"deficits": [{i3}')
+    after_m = f',{i2}"l": '
+    tail = f"{i2}]{i1}}}"
+
+    def layer(s, m, low):
+        return (f"{before_s}{s}{after_s}",
+                f'{i2}],{i2}"m": {m}{after_m}{"null" if low is None else low},'
+                f'{i2}"assignments": [{i3}', tail)
+
+    pairs = tuple(f'{{{i4}"target": %d,{i4}"pair": [{i5}%d,{i5}%d{i4}],{i4}"kind": "{kind}"{i3}}}'
+                  for kind in _KINDS)
+    return layer, pairs, ("," + i3, "," + i3), ("[" + i1, "," + i1, pad + "]")
 
 
 class _Runs(list):
@@ -262,11 +292,19 @@ class _Runs(list):
         """The JSON list of the runs, its brackets indented by ``pad``."""
         i1, i2 = pad + "  ", pad + "    "
         record = f'{{{i2}"a": %d,{i2}"b": %d,{i2}"length": %d{i1}}}'
-        flat = [0] * (3 * len(self))  # a, b and the length of each run
-        flat[0::3], flat[1::3] = zip(*self)
-        flat[2::3] = [b - a + 1 for a, b in self]
+        step = max(math.isqrt(len(self)), PIECE_MIN_INTS // 3)
+
+        def ints():  # a, b and the length of each run, ``step`` runs at a time
+            for lo in range(0, len(self), step):
+                runs = self[lo:lo + step]
+                flat = [0] * (3 * len(runs))
+                flat[0::3] = map(itemgetter(0), runs)
+                flat[1::3] = map(itemgetter(1), runs)
+                flat[2::3] = [b - a + 1 for a, b in runs]
+                yield flat
+
         units = [("[" + i1 + record, 3, 1), ("," + i1 + record, 3, len(self) - 1)]
-        return _pieces([*units, (pad + "]", 0, 1)], iter([flat]), len(flat))
+        return _pieces([*units, (pad + "]", 0, 1)], ints(), 3 * len(self))
 
     def text(self, value: int):
         """The runs' lines ``  value = [a..b]``, each after a newline."""
@@ -285,6 +323,8 @@ class _Partitions(list):
         no ``pad``.  Consecutive blocks of one width share a template."""
         head, item, tail = ("U_%d = {", ", ", "}") if pad is None else (
             f'{pad}"%d": [{pad}  ', f",{pad}  ", f"{pad}]")
+        # an empty block is its head and tail with no space between
+        head, item, empty = head + "%d", item + "%d", [(head.rstrip() + tail.strip(), 1, 1)]
 
         # each partition's blocks and targets, sorted once for its templates and its ints
         unit_keys, int_keys = tee((p.blocks, sorted(p.blocks)) for p in self)
@@ -292,9 +332,7 @@ class _Partitions(list):
         def units():
             for (blocks, keys), lead in zip(unit_keys, leads):
                 for width, run in groupby(map(len, map(blocks.__getitem__, keys))):
-                    # an empty block is its head and tail with no space between
-                    parts = [(head + "%d", 2, 1), (item + "%d", 1, width - 1), (tail, 0, 1)] \
-                        if width else [(head.rstrip() + tail.strip(), 1, 1)]
+                    parts = [(head, 2, 1), (item, 1, width - 1), (tail, 0, 1)] if width else empty
                     # countOf counts the run without holding it: each of its widths is width
                     yield from _record_units(parts, countOf(run, width), lead, sep)
                     lead = sep
