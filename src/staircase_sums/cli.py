@@ -199,6 +199,7 @@ class _Trace(tuple):
                         flat += (r + 1,) * numbered
                         flat += (n, a, a + s - 1, c, c - n, c - q, q, n)
                         flat += range(c - a, c - a - s, -1)
+                        # zip stops at the range's end before it reads pair_ends again
                         flat += chain.from_iterable(zip(range(a, a + s), pair_ends, pair_ends))
                         if len(flat) >= PIECE_MIN_INTS:
                             yield flat
